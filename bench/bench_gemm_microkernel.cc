@@ -8,6 +8,9 @@
  * A^T B), plus one (T,T) case so all four combinations are covered.
  * Reports GFLOP/s per engine and the packed-over-reference speedup,
  * single-threaded so the comparison isolates the per-core hot path.
+ * The packed engine runs the ISA variant selected at start-up (named
+ * in the header line and the JSON stamp); every other variant the
+ * host supports is also timed through its own entry point.
  *
  * Usage: bench_gemm_microkernel [--quick] [--json <path>]
  *   --quick shrinks the mini-batch and repetitions for CI smoke runs.
@@ -23,6 +26,7 @@
 
 #include "core/bertprof.h"
 #include "ops/gemm.h"
+#include "ops/gemm_microkernel.h"
 #include "runtime/config.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -57,9 +61,38 @@ struct Result {
     ShapeCase shape;
     double ref_gflops = 0.0;
     double packed_gflops = 0.0;
+    std::vector<double> variant_gflops; // one per supportedVariants()
     double speedup = 0.0;
     float max_abs_diff = 0.0f;
 };
+
+std::vector<const GemmVariant *>
+supportedVariants()
+{
+    std::vector<const GemmVariant *> out;
+    for (const GemmVariant &v : gemmVariants())
+        if (v.hostSupports())
+            out.push_back(&v);
+    return out;
+}
+
+std::string
+tileLabel(const GemmVariant &v)
+{
+    return std::to_string(v.mr) + "x" + std::to_string(v.nr);
+}
+
+/** The shape's GEMM through one variant's entry point, group by group
+ * as batchedGemm() issues it. */
+void
+runVariant(const GemmVariant &v, const ShapeCase &s, const Tensor &a,
+           const Tensor &b, Tensor &c)
+{
+    for (std::int64_t g = 0; g < s.batch; ++g)
+        v.rows(a.data() + g * s.m * s.k, b.data() + g * s.k * s.n,
+               c.data() + g * s.m * s.n, s.m, s.n, s.k, s.trans_a,
+               s.trans_b, 1.0f, 0.0f, 0, s.m);
+}
 
 std::string
 transLabel(const ShapeCase &s)
@@ -113,6 +146,8 @@ main(int argc, char **argv)
     };
 
     setNumThreads(1); // isolate the per-core hot path
+    const GemmVariant &selected = selectedGemmVariant();
+    const std::vector<const GemmVariant *> variants = supportedVariants();
 
     std::vector<Result> results;
     for (const ShapeCase &s : shapes) {
@@ -157,6 +192,13 @@ main(int argc, char **argv)
         const Seconds t_packed = timeBest(reps, run);
         r.max_abs_diff = maxAbsDiff(c, c_ref); // engines must agree
 
+        for (const GemmVariant *v : variants) {
+            const auto run_variant = [&] { runVariant(*v, s, a, b, c); };
+            run_variant();
+            r.variant_gflops.push_back(flops / timeBest(reps, run_variant) *
+                                       1e-9);
+        }
+
         r.ref_gflops = flops / t_ref * 1e-9;
         r.packed_gflops = flops / t_packed * 1e-9;
         r.speedup = t_ref / t_packed;
@@ -165,13 +207,24 @@ main(int argc, char **argv)
     clearGemmImplOverride();
     setNumThreads(0);
 
+    std::printf("packed engine variant: %s (%s tile); host supports:",
+                selected.name, tileLabel(selected).c_str());
+    for (const GemmVariant *v : variants)
+        std::printf(" %s", v->name);
+    std::printf("\n");
+
     Table table("GEMM engines, Table 2b BERT-Large shapes "
                 "(1 thread, best of " +
                 std::to_string(reps) + "; B=" + std::to_string(batch) +
                 ", n=" + std::to_string(seq) +
                 ", d_model=" + std::to_string(d_model) + ")");
-    table.setHeader({"Kernel", "tAtB", "M x N x K [b]", "ref GF/s",
-                     "packed GF/s", "speedup", "max|diff|"});
+    std::vector<std::string> header = {"Kernel", "tAtB", "M x N x K [b]",
+                                       "ref GF/s", "packed GF/s"};
+    for (const GemmVariant *v : variants)
+        header.push_back(std::string(v->name) + " GF/s");
+    header.push_back("speedup");
+    header.push_back("max|diff|");
+    table.setHeader(header);
     char buf[64];
     for (const Result &r : results) {
         std::vector<std::string> row;
@@ -187,6 +240,10 @@ main(int argc, char **argv)
         row.push_back(buf);
         std::snprintf(buf, sizeof(buf), "%.2f", r.packed_gflops);
         row.push_back(buf);
+        for (const double gf : r.variant_gflops) {
+            std::snprintf(buf, sizeof(buf), "%.2f", gf);
+            row.push_back(buf);
+        }
         std::snprintf(buf, sizeof(buf), "%.2fx", r.speedup);
         row.push_back(buf);
         std::snprintf(buf, sizeof(buf), "%.2e", r.max_abs_diff);
@@ -194,7 +251,9 @@ main(int argc, char **argv)
         table.addRow(row);
     }
     std::printf("%s\n", table.render().c_str());
-    std::printf("Both engines run the identical deterministic row "
+    std::printf("packed = gemm()/batchedGemm() on the selected variant; "
+                "per-variant columns call each entry point directly.\n"
+                "Both engines run the identical deterministic row "
                 "partition; max|diff| is rounding from their different\n"
                 "association orders, not nondeterminism "
                 "(tests/test_gemm_microkernel.cc cross-checks both).\n");
@@ -213,6 +272,13 @@ main(int argc, char **argv)
                      static_cast<long long>(seq),
                      static_cast<long long>(d_model),
                      quick ? "true" : "false");
+        std::fprintf(f, "  \"variant\": {\"selected\": \"%s\", "
+                        "\"tile\": \"%s\", \"supported\": [",
+                     selected.name, tileLabel(selected).c_str());
+        for (std::size_t i = 0; i < variants.size(); ++i)
+            std::fprintf(f, "%s\"%s\"", i > 0 ? ", " : "",
+                         variants[i]->name);
+        std::fprintf(f, "]},\n");
         std::fprintf(f, "  \"shapes\": [\n");
         for (std::size_t i = 0; i < results.size(); ++i) {
             const Result &r = results[i];
@@ -221,15 +287,19 @@ main(int argc, char **argv)
                 "    {\"name\": \"%s\", \"trans\": \"%s\", \"m\": %lld, "
                 "\"n\": %lld, \"k\": %lld, \"batch\": %lld, "
                 "\"ref_gflops\": %.4f, \"packed_gflops\": %.4f, "
-                "\"speedup\": %.4f, \"max_abs_diff\": %.6e}%s\n",
+                "\"speedup\": %.4f, \"max_abs_diff\": %.6e, "
+                "\"variant_gflops\": {",
                 r.shape.name.c_str(), transLabel(r.shape).c_str(),
                 static_cast<long long>(r.shape.m),
                 static_cast<long long>(r.shape.n),
                 static_cast<long long>(r.shape.k),
                 static_cast<long long>(r.shape.batch), r.ref_gflops,
                 r.packed_gflops, r.speedup,
-                static_cast<double>(r.max_abs_diff),
-                i + 1 < results.size() ? "," : "");
+                static_cast<double>(r.max_abs_diff));
+            for (std::size_t v = 0; v < variants.size(); ++v)
+                std::fprintf(f, "%s\"%s\": %.4f", v > 0 ? ", " : "",
+                             variants[v]->name, r.variant_gflops[v]);
+            std::fprintf(f, "}}%s\n", i + 1 < results.size() ? "," : "");
         }
         std::fprintf(f, "  ]\n}\n");
         std::fclose(f);

@@ -9,22 +9,13 @@
 # trajectory (BENCH_trace.json guards the telemetry recorder's
 # <5% overhead budget).
 #
-# Usage: scripts/run_bench.sh [--native]
-#   --native configures with -DBERTPROF_NATIVE=ON (-march=native) so
-#   the microkernel vectorizes to the host's widest FMA ISA. Results
-#   captured this way are only comparable to other --native runs.
+# Usage: scripts/run_bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-bench}"
-NATIVE=OFF
-if [[ "${1:-}" == "--native" ]]; then
-    NATIVE=ON
-    BUILD_DIR="${BUILD_DIR}-native"
-fi
 
-cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DBERTPROF_NATIVE="${NATIVE}"
+cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
     --target bench_gemm_microkernel bench_cpu_parallel_scaling \
     bench_serving bench_trace_overhead bench_fusion bench_bplint

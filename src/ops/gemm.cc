@@ -4,7 +4,6 @@
 
 #include "ops/gemm_microkernel.h"
 #include "runtime/config.h"
-#include "tensor/contracts.h"
 #include "runtime/parallel_for.h"
 #include "tensor/contracts.h"
 #include "util/logging.h"

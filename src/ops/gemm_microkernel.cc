@@ -1,79 +1,100 @@
+// Baseline variant of the packed GEMM engine (compiled for the
+// build's default ISA), the per-thread packing buffers, and the
+// run-time choice of variant.
+
 #include "ops/gemm_microkernel.h"
 
-#include <algorithm>
 #include <vector>
 
-#include "ops/pack.h"
+#include "ops/gemm_microkernel_impl.h"
 
 namespace bertprof {
 
+void
+gemmPackedRowsBaseline(const float *a, const float *b, float *c,
+                       std::int64_t m, std::int64_t n, std::int64_t k,
+                       bool trans_a, bool trans_b, float alpha, float beta,
+                       std::int64_t row_begin, std::int64_t row_end)
+{
+    packedRows<4, 8>(a, b, c, m, n, k, trans_a, trans_b, alpha, beta,
+                     row_begin, row_end);
+}
+
+float *
+gemmPackBufferA()
+{
+    thread_local std::vector<float> buf(
+        static_cast<std::size_t>(kGemmMC * kGemmKC));
+    return buf.data();
+}
+
+float *
+gemmPackBufferB()
+{
+    thread_local std::vector<float> buf(
+        static_cast<std::size_t>(kGemmNC * kGemmKC));
+    return buf.data();
+}
+
 namespace {
 
-constexpr std::int64_t MR = kGemmMR;
-constexpr std::int64_t NR = kGemmNR;
-
-static_assert(kGemmMC % kGemmMR == 0, "MC must be a multiple of MR");
-static_assert(kGemmNC % kGemmNR == 0, "NC must be a multiple of NR");
-
-/**
- * Rank-kc update of one MR x NR register tile from packed panels:
- * acc[r][j] = sum_p ap[p*MR + r] * bp[p*NR + j]. Fixed trip counts
- * and unit-stride loads let the compiler hold `acc` in vector
- * registers and fuse the multiply-add.
- */
-inline void
-microkernelAccumulate(const float *ap, const float *bp, std::int64_t kc,
-                      float *acc)
+bool
+always()
 {
-    for (std::int64_t p = 0; p < kc; ++p) {
-        const float *arow = ap + p * MR;
-        const float *brow = bp + p * NR;
-        for (std::int64_t r = 0; r < MR; ++r) {
-            const float av = arow[r];
-            float *accrow = acc + r * NR;
-            for (std::int64_t j = 0; j < NR; ++j)
-                accrow[j] += av * brow[j];
-        }
-    }
+    return true;
 }
 
-/**
- * Fold one tile's rank-kc accumulation into C[0..mr, 0..nr] (leading
- * dimension ldc). The first KC block applies alpha/beta (beta == 0
- * overwrites, matching the reference kernel's NaN-safe semantics);
- * later blocks accumulate alpha * acc on top.
- */
-inline void
-microkernelStore(const float *acc, float *c, std::int64_t ldc,
-                 std::int64_t mr, std::int64_t nr, float alpha, float beta,
-                 bool first_block)
+#if defined(BP_GEMM_X86_VARIANTS)
+// __builtin_cpu_supports reports an AVX-family feature only when the
+// OS also saves its register state (XCR0). __builtin_cpu_init makes
+// the query safe from static initializers.
+bool
+hasAvx2Fma()
 {
-    if (mr == MR && nr == NR && !first_block) {
-        // Hot full-tile path: fixed trip counts vectorize cleanly.
-        for (std::int64_t r = 0; r < MR; ++r) {
-            float *crow = c + r * ldc;
-            const float *accrow = acc + r * NR;
-            for (std::int64_t j = 0; j < NR; ++j)
-                crow[j] += alpha * accrow[j];
-        }
-        return;
-    }
-    for (std::int64_t r = 0; r < mr; ++r) {
-        float *crow = c + r * ldc;
-        const float *accrow = acc + r * NR;
-        for (std::int64_t j = 0; j < nr; ++j) {
-            const float scaled = alpha * accrow[j];
-            if (!first_block)
-                crow[j] += scaled;
-            else if (beta == 0.0f)
-                crow[j] = scaled;
-            else
-                crow[j] = scaled + beta * crow[j];
-        }
-    }
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
+
+bool
+hasAvx512()
+{
+    return hasAvx2Fma() && __builtin_cpu_supports("avx512f");
+}
+#endif
+
+constexpr GemmVariant kVariants[] = {
+    {"baseline", 4, 8, gemmPackedRowsBaseline, always},
+#if defined(BP_GEMM_X86_VARIANTS)
+    {"avx2", 6, 16, gemmPackedRowsAvx2, hasAvx2Fma},
+    {"avx512", 8, 32, gemmPackedRowsAvx512, hasAvx512},
+#endif
+};
 
 } // namespace
+
+std::span<const GemmVariant>
+gemmVariants()
+{
+    return kVariants;
+}
+
+const GemmVariant &
+selectedGemmVariant()
+{
+    // Never chosen by shape: one process runs one variant, so batched
+    // vs solo and checkpoint-resume results stay bitwise comparable.
+    static const GemmVariant *const selected = [] {
+        const GemmVariant *widest = &kVariants[0];
+        for (const GemmVariant &v : kVariants)
+            if (v.hostSupports())
+                widest = &v;
+        return widest;
+    }();
+    return *selected;
+}
+
+const std::int64_t kGemmMR = selectedGemmVariant().mr;
+const std::int64_t kGemmNR = selectedGemmVariant().nr;
 
 void
 gemmPackedRows(const float *a, const float *b, float *c, std::int64_t m,
@@ -81,55 +102,9 @@ gemmPackedRows(const float *a, const float *b, float *c, std::int64_t m,
                float alpha, float beta, std::int64_t row_begin,
                std::int64_t row_end)
 {
-    // Strides describing op(A)(i, p) and op(B)(p, j) over the
-    // row-major storage; packing absorbs them into contiguous panels.
-    const std::int64_t a_rs = trans_a ? 1 : k;
-    const std::int64_t a_cs = trans_a ? m : 1;
-    const std::int64_t b_rs = trans_b ? 1 : n;
-    const std::int64_t b_cs = trans_b ? k : 1;
-
-    // Reusable per-thread packing buffers: sized once to the fixed
-    // block extents, so steady-state calls allocate nothing.
-    thread_local std::vector<float> a_packed(
-        static_cast<std::size_t>(kGemmMC * kGemmKC));
-    thread_local std::vector<float> b_packed(
-        static_cast<std::size_t>(kGemmNC * kGemmKC));
-
-    // Degenerate k == 0: no product terms, but beta must still apply.
-    if (k == 0) {
-        for (std::int64_t i = row_begin * n; i < row_end * n; ++i)
-            c[i] = beta == 0.0f ? 0.0f : c[i] * beta;
-        return;
-    }
-
-    for (std::int64_t jc = 0; jc < n; jc += kGemmNC) {
-        const std::int64_t nc = std::min(kGemmNC, n - jc);
-        for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
-            const std::int64_t kc = std::min(kGemmKC, k - pc);
-            const bool first_block = pc == 0;
-            packB(b + pc * b_rs + jc * b_cs, b_rs, b_cs, kc, nc, NR,
-                  b_packed.data());
-            for (std::int64_t ic = row_begin; ic < row_end; ic += kGemmMC) {
-                const std::int64_t mc = std::min(kGemmMC, row_end - ic);
-                packA(a + ic * a_rs + pc * a_cs, a_rs, a_cs, mc, kc, MR,
-                      a_packed.data());
-                for (std::int64_t ir = 0; ir < mc; ir += MR) {
-                    const std::int64_t mr = std::min(MR, mc - ir);
-                    const float *ap = a_packed.data() + (ir / MR) * MR * kc;
-                    float *crow = c + (ic + ir) * n + jc;
-                    for (std::int64_t jr = 0; jr < nc; jr += NR) {
-                        const std::int64_t nr = std::min(NR, nc - jr);
-                        const float *bp =
-                            b_packed.data() + (jr / NR) * NR * kc;
-                        alignas(64) float acc[MR * NR] = {};
-                        microkernelAccumulate(ap, bp, kc, acc);
-                        microkernelStore(acc, crow + jr, n, mr, nr, alpha,
-                                         beta, first_block);
-                    }
-                }
-            }
-        }
-    }
+    static const GemmRowsFn rows = selectedGemmVariant().rows;
+    rows(a, b, c, m, n, k, trans_a, trans_b, alpha, beta, row_begin,
+         row_end);
 }
 
 } // namespace bertprof
