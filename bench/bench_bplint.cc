@@ -4,7 +4,7 @@
  * real repository scan set (src bench tests tools examples plus the
  * README env-knob table), then times whole-project lintProject()
  * passes — phase-1 TU models, the cross-TU ProjectModel, and all
- * twelve rules per pass. The linter guards every build, so it carries
+ * eleven rules per pass. The linter guards every build, so it carries
  * an explicit latency budget: a pass over the full tree must stay
  * under 2 seconds, and the process exits nonzero when the median pass
  * blows it (the lint-labeled smoke test turns a regression into a

@@ -13,7 +13,7 @@
 # Env passthrough (defaults in parentheses):
 #   BERTPROF_NUM_THREADS (8)  pool width while testing
 #   BERTPROF_GEMM_IMPL (packed)  GEMM engine: packed | reference
-#   BERTPROF_FUSION (off)  fused kernels + graph executor: on | off
+#   BERTPROF_FUSION (off)  fused kernels on the eager path: on | off
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

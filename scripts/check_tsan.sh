@@ -20,9 +20,9 @@
 #     sweep both so the sanitizer matrix covers the reference engine's
 #     row partition as well as the packed engine's thread-local
 #     packing buffers.
-#   BERTPROF_FUSION (off)  fused kernels + graph executor: on | off —
+#   BERTPROF_FUSION (off)  fused kernels on the eager path: on | off —
 #     sweep both so the matrix also covers the fused kernels'
-#     thread-local scratch rows and the arena-backed executor.
+#     thread-local scratch rows and per-worker score blocks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

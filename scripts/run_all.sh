@@ -23,14 +23,16 @@ ctest --test-dir build -L serve --output-on-failure
 
 # Overload chaos smoke: serve_chaos out-of-process at 4x capacity
 # with serve.submit/serve.batch/serve.compute faults armed — clean
-# shutdown and zero unresolved futures under every plan.
+# shutdown and zero unresolved futures under every plan. The second
+# pass runs the same plans on the fused eval path.
 scripts/check_chaos.sh build
+BERTPROF_FUSION=on scripts/check_chaos.sh build
 
-# Fusion smoke: fused-kernel / graph-executor parity suites plus the
-# measured fused-vs-unfused quick bench (BERTPROF_FUSION defaults off,
-# so everything above ran the unfused oracle path).
+# Fusion smoke: fused-kernel parity suites plus the measured
+# fused-vs-unfused quick bench (BERTPROF_FUSION defaults off, so the
+# suites above ran the unfused oracle path).
 ctest --test-dir build -L fusion --output-on-failure
-build/bench/bench_fusion --quick | tail -3
+build/bench/bench_fusion --quick | tail -2
 
 # Telemetry smoke: record a real (quick) train+eval run into a trace
 # container, then replay it with bptrace — the breakdown aggregates

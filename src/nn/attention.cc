@@ -87,9 +87,9 @@ MultiHeadAttention::forward(const Tensor &x, const Tensor &mask,
     }
 
     if (fused && !training) {
-        // Eval-only fused attention: score -> softmax -> context in
-        // one pass per query row; the [B*h, n, n] scores/probs
-        // tensors are never materialized.
+        // Eval-only fused attention: score -> softmax -> context per
+        // head group through a cache-resident [n, n] block; the
+        // [B*h, n, n] scores/probs tensors are never materialized.
         const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
         Tensor context(Shape({bh, seq, dh}));
         {

@@ -34,14 +34,6 @@ class EncoderLayer : public Module
 
     void initialize(Rng &rng, float stddev = 0.02f);
 
-    // Sub-module access for the graph executor (src/graph builds its
-    // op list out of these modules' parameters and kernels).
-    MultiHeadAttention &attn() { return attn_; }
-    LayerNorm &ln1() { return ln1_; }
-    FeedForward &ff() { return ff_; }
-    LayerNorm &ln2() { return ln2_; }
-    NnRuntime *runtime() { return rt_; }
-
   protected:
     void collectChildren(std::vector<Module *> &out) override;
 

@@ -38,7 +38,6 @@ class LayerNorm : public Module
 
     Parameter &gamma() { return gamma_; }
     Parameter &beta() { return beta_; }
-    std::int64_t dim() const { return dim_; }
 
   private:
     std::int64_t dim_;

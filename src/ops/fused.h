@@ -2,13 +2,15 @@
  * @file
  * Fused CPU kernels for the paper's Sec. 6.1 software optimizations,
  * implemented for real (the analytical model in src/perf only
- * predicts their effect; bench_fig12a/b compare the two):
+ * predicts their effect; bench_fig12a/b compare the two). The eager
+ * nn modules call them when BERTPROF_FUSION=on, in training and eval:
  *
  *  - bias + GeLU          (the FC1 epilogue, one pass instead of two)
  *  - residual + LayerNorm (the DR+RC+LN tail, sum never materialized
  *                          unless training needs it for backward)
- *  - score->softmax->context attention (eval only: one pass over each
- *                          score row, no [B*h, n, n] probs tensor)
+ *  - score->softmax->context attention (eval only: per head group,
+ *                          a cache-resident [n, n] score block, no
+ *                          [B*h, n, n] probs tensor)
  *  - packed QKV projection (one GEMM over a 3H-wide concatenated
  *                          weight: pack(A) amortized across Q, K, V)
  *
@@ -28,9 +30,9 @@
  *                                 tolerance-only (one k=3H GEMM
  *                                 replaces three k=H GEMMs + adds, a
  *                                 different accumulation association).
- *  - fusedAttentionEvalForward:   tolerance-only (row-dot accumulation
- *                                 replaces the blocked batched-GEMM
- *                                 association).
+ *  - fusedAttentionEvalForward:   tolerance-only (the score scale
+ *                                 folds into the q k^T GEMM's alpha
+ *                                 instead of a separate scale pass).
  *
  * Every kernel reports KernelStats with flops summed from the
  * constituent unfused ops and bytes counted at the *fused* traffic,

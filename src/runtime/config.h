@@ -16,8 +16,8 @@
  * Fusion resolution order is the same shape: programmatic override
  * (setFusionMode) > BERTPROF_FUSION environment variable ("on" or
  * "off") > Off. Off keeps the original per-op kernel schedule as the
- * oracle; On enables the fused kernels and the graph executor
- * (src/graph) where one is installed.
+ * oracle; On runs the eager nn modules through the fused kernels
+ * (ops/fused.h) in training and eval alike.
  */
 
 #ifndef BERTPROF_RUNTIME_CONFIG_H
@@ -65,13 +65,13 @@ void setGemmImpl(GemmImpl impl);
  * environment. */
 void clearGemmImplOverride();
 
-/** Whether fused kernels / graph scheduling are in effect. */
+/** Whether the fused kernels are in effect. */
 enum class FusionMode {
     /** Per-op kernel schedule, exactly the pre-fusion code path — the
      * parity oracle. The default. */
     Off,
     /** Fused kernels (bias+GeLU, residual+LN, one-pass attention,
-     * packed QKV) and, where installed, the graph executor. */
+     * packed QKV) on the same eager path. */
     On,
 };
 

@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include "graph/encoder_exec.h"
 #include "util/logging.h"
 
 namespace bertprof {
@@ -63,9 +62,6 @@ ClassifierEngine::ClassifierEngine(BertClassifier &model,
     : model_(model), padId_(pad_id)
 {
     BP_REQUIRE(!model_.isTraining());
-    // Register the graph executor so eval forwards can take the
-    // planned-arena path when BERTPROF_FUSION=on.
-    graph::ensureEncoderGraphExecInstalled();
 }
 
 std::int64_t
@@ -98,7 +94,6 @@ MlmEngine::MlmEngine(BertPretrainer &model, std::int64_t pad_id)
     : model_(model), padId_(pad_id)
 {
     BP_REQUIRE(!model_.isTraining());
-    graph::ensureEncoderGraphExecInstalled();
 }
 
 std::int64_t

@@ -5,7 +5,6 @@
 #include <limits>
 #include <thread>
 
-#include "nn/graph_hook.h"
 #include "runtime/fault_injection.h"
 #include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
@@ -230,19 +229,6 @@ InferenceServer::executorLoop()
             nanosBetween(oldestArrival, start),
             nanosBetween(start, end), batch_size, batch.paddedLen,
             depth);
-        // Arena footprint of the graph executor, when engaged: the
-        // high-water mark shows up in bptrace --stats next to the
-        // serving gauges.
-        if (EncoderGraphExec *exec = encoderGraphExec()) {
-            const std::int64_t arena_peak = exec->arenaPeakBytes();
-            if (arena_peak > 0) {
-                metrics.gauge("graph.arena_peak_bytes")
-                    .set(static_cast<double>(arena_peak));
-                TraceRecorder::instance().gauge(
-                    "graph.arena_peak_bytes",
-                    static_cast<double>(arena_peak));
-            }
-        }
 
         batch.requests.clear();
         replies.clear();

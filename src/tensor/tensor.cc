@@ -29,30 +29,18 @@ Tensor::Tensor(Shape shape, std::vector<float> values, DType dtype)
     BP_REQUIRE(static_cast<std::int64_t>(data_.size()) == shape_.numel());
 }
 
-Tensor
-Tensor::borrow(float *storage, Shape shape, DType dtype)
-{
-    BP_REQUIRE(storage != nullptr);
-    Tensor t;
-    t.shape_ = std::move(shape);
-    t.dtype_ = dtype;
-    t.data_.clear();
-    t.view_ = storage;
-    return t;
-}
-
 float &
 Tensor::at(std::int64_t i)
 {
     BP_ASSERT(i >= 0 && i < numel());
-    return data()[i];
+    return data_[static_cast<std::size_t>(i)];
 }
 
 float
 Tensor::at(std::int64_t i) const
 {
     BP_ASSERT(i >= 0 && i < numel());
-    return data()[i];
+    return data_[static_cast<std::size_t>(i)];
 }
 
 float &
@@ -60,7 +48,7 @@ Tensor::at(std::int64_t r, std::int64_t c)
 {
     BP_ASSERT(shape_.rank() == 2);
     BP_ASSERT(r >= 0 && r < shape_.dim(0) && c >= 0 && c < shape_.dim(1));
-    return data()[r * shape_.dim(1) + c];
+    return data_[static_cast<std::size_t>(r * shape_.dim(1) + c)];
 }
 
 float
@@ -68,43 +56,35 @@ Tensor::at(std::int64_t r, std::int64_t c) const
 {
     BP_ASSERT(shape_.rank() == 2);
     BP_ASSERT(r >= 0 && r < shape_.dim(0) && c >= 0 && c < shape_.dim(1));
-    return data()[r * shape_.dim(1) + c];
+    return data_[static_cast<std::size_t>(r * shape_.dim(1) + c)];
 }
 
 void
 Tensor::fill(float value)
 {
-    float *p = data();
-    const std::int64_t n = numel();
-    for (std::int64_t i = 0; i < n; ++i)
-        p[i] = value;
+    for (auto &v : data_)
+        v = value;
 }
 
 void
 Tensor::fillNormal(Rng &rng, float mean, float stddev)
 {
-    float *p = data();
-    const std::int64_t n = numel();
-    for (std::int64_t i = 0; i < n; ++i)
-        p[i] = static_cast<float>(rng.normal(mean, stddev));
+    for (auto &v : data_)
+        v = static_cast<float>(rng.normal(mean, stddev));
 }
 
 void
 Tensor::fillUniform(Rng &rng, float lo, float hi)
 {
-    float *p = data();
-    const std::int64_t n = numel();
-    for (std::int64_t i = 0; i < n; ++i)
-        p[i] = static_cast<float>(rng.uniform(lo, hi));
+    for (auto &v : data_)
+        v = static_cast<float>(rng.uniform(lo, hi));
 }
 
 void
 Tensor::castToHalfStorage()
 {
-    float *p = data();
-    const std::int64_t n = numel();
-    for (std::int64_t i = 0; i < n; ++i)
-        p[i] = roundToHalf(p[i]);
+    for (auto &v : data_)
+        v = roundToHalf(v);
     dtype_ = DType::F16;
 }
 
@@ -118,50 +98,40 @@ Tensor
 Tensor::reshaped(Shape new_shape) const
 {
     BP_REQUIRE(new_shape.numel() == numel());
-    // Always materializes an owned copy, so reshaping a borrowed view
-    // detaches it from the arena storage.
-    Tensor out(std::move(new_shape),
-               std::vector<float>(data(), data() + numel()), dtype_);
+    Tensor out(std::move(new_shape), data_, dtype_);
     return out;
 }
 
 Tensor
 Tensor::clone() const
 {
-    return Tensor(shape_, std::vector<float>(data(), data() + numel()),
-                  dtype_);
+    return Tensor(shape_, data_, dtype_);
 }
 
 double
 Tensor::sum() const
 {
-    const float *p = data();
-    const std::int64_t n = numel();
     double s = 0.0;
-    for (std::int64_t i = 0; i < n; ++i)
-        s += p[i];
+    for (float v : data_)
+        s += v;
     return s;
 }
 
 double
 Tensor::l2Norm() const
 {
-    const float *p = data();
-    const std::int64_t n = numel();
     double s = 0.0;
-    for (std::int64_t i = 0; i < n; ++i)
-        s += static_cast<double>(p[i]) * p[i];
+    for (float v : data_)
+        s += static_cast<double>(v) * v;
     return std::sqrt(s);
 }
 
 float
 Tensor::absMax() const
 {
-    const float *p = data();
-    const std::int64_t n = numel();
     float m = 0.0f;
-    for (std::int64_t i = 0; i < n; ++i)
-        m = std::max(m, std::fabs(p[i]));
+    for (float v : data_)
+        m = std::max(m, std::fabs(v));
     return m;
 }
 

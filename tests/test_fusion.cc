@@ -1,9 +1,8 @@
 /**
- * Fused-kernel parity suite (ISSUE 8 satellite): every fused kernel
- * against its unfused oracle chain at 1 and 8 threads, training
- * forward/backward parity through EncoderLayer, eval logits parity
- * through BertClassifier, and serve end-to-end parity with the graph
- * executor engaged. The parity class per kernel (bitwise versus
+ * Fused-kernel parity suite: every fused kernel against its unfused
+ * oracle chain at 1 and 8 threads, training forward/backward parity
+ * through EncoderLayer, eval logits parity through BertClassifier, and
+ * serve end-to-end parity. The parity class per kernel (bitwise versus
  * tolerance) is the contract documented in ops/fused.h.
  */
 
@@ -14,9 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/encoder_exec.h"
 #include "nn/encoder_layer.h"
-#include "nn/graph_hook.h"
 #include "ops/activation.h"
 #include "ops/elementwise.h"
 #include "ops/fused.h"
@@ -27,7 +24,6 @@
 #include "runtime/config.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
-#include "telemetry/metrics.h"
 #include "test_helpers.h"
 
 namespace bertprof {
@@ -297,8 +293,6 @@ struct LayerPair {
 TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
 {
     KnobGuard guard;
-    // The eager fused path only (no graph executor on training
-    // forwards; the hook is eval-only by contract).
     for (int threads : kThreadSweep) {
         setNumThreads(threads);
         LayerPair pair;
@@ -340,7 +334,6 @@ TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
 TEST(FusionEval, EncoderLayerFusedCloseToUnfused)
 {
     KnobGuard guard;
-    installEncoderGraphExec(nullptr); // eager fused path
     for (int threads : kThreadSweep) {
         setNumThreads(threads);
         LayerPair pair;
@@ -384,7 +377,6 @@ TEST(FusionEval, ClassifierLogitsCloseAndThreadInvariant)
     Rng init(32);
     clf.initialize(init);
     clf.setTraining(false);
-    graph::ensureEncoderGraphExecInstalled();
 
     setNumThreads(1);
     setFusionMode(FusionMode::Off);
@@ -403,7 +395,7 @@ TEST(FusionEval, ClassifierLogitsCloseAndThreadInvariant)
     EXPECT_TRUE(bitwiseEqual(ref8, ref));
 }
 
-TEST(FusionServe, EndToEndLogitsParityAndArenaGauge)
+TEST(FusionServe, EndToEndLogitsParity)
 {
     KnobGuard guard;
     const BertConfig config = tinyBertConfig();
@@ -418,6 +410,7 @@ TEST(FusionServe, EndToEndLogitsParityAndArenaGauge)
     ServeOptions options;
     options.maxBatch = 4;
     options.maxWaitUs = 200;
+    options.defaultDeadlineUs = 60'000'000; // sanitizer-build slack
 
     auto serve_once = [&](FusionMode mode) {
         setFusionMode(mode);
@@ -448,16 +441,6 @@ TEST(FusionServe, EndToEndLogitsParityAndArenaGauge)
             EXPECT_NEAR(on[i][j], off[i][j], 1e-4)
                 << "request " << i << " logit " << j;
     }
-
-    // The fused run went through the graph executor (the engine ctor
-    // installed it); its arena high-water mark is live telemetry.
-    // (Peak-below-sum is asserted per plan in test_graph; here the
-    // peak spans every shape this process ran, so only >0 is sound.)
-    graph::EncoderExec *exec = graph::ensureEncoderGraphExecInstalled();
-    EXPECT_GT(exec->arenaPeakBytes(), 0);
-    EXPECT_GT(
-        MetricsRegistry::instance().gauge("graph.arena_peak_bytes").value(),
-        0.0);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * max-batch/max-wait/close policy, latency percentiles, the Poisson
  * schedule — and the tentpole numerical property: a request's logits
  * are bitwise identical whether it runs solo, inside a mixed-length
- * bucketed batch, or padded up a bucket, at 1 and at 8 threads.
+ * bucketed batch, or padded up a bucket, at 1 and at 8 threads, with
+ * fusion off and on.
  */
 
 #include <cstring>
@@ -277,12 +278,22 @@ sameRow(const InferReply &a, const InferReply &b)
  * The bitwise padding-invariance property behind bucketed batching:
  * batch composition and pad amount must not change a request's
  * logits at all — masked keys underflow out of the softmax exactly,
- * and every other op is row-local.
+ * and every other op is row-local. Holds on the unfused chain and on
+ * the fused kernels alike.
  */
 void
-runPaddingInvariance(int num_threads)
+runPaddingInvariance(int num_threads, FusionMode fusion)
 {
+    // Restores both knobs even when an ASSERT returns early.
+    struct KnobGuard {
+        ~KnobGuard()
+        {
+            clearFusionModeOverride();
+            setNumThreads(0);
+        }
+    } guard;
     setNumThreads(num_threads);
+    setFusionMode(fusion);
     const BertConfig config = tinyBertConfig();
     NnRuntime rt;
     BertClassifier clf(config, &rt);
@@ -342,17 +353,26 @@ runPaddingInvariance(int num_threads)
         << "batch composition changed the probe's logits";
     EXPECT_TRUE(sameRow(solo[0], padded[0]))
         << "padding to a larger bucket changed the probe's logits";
-    setNumThreads(0);
 }
 
 TEST(PaddingInvariance, BitwiseAtOneThread)
 {
-    runPaddingInvariance(1);
+    runPaddingInvariance(1, FusionMode::Off);
 }
 
 TEST(PaddingInvariance, BitwiseAtEightThreads)
 {
-    runPaddingInvariance(8);
+    runPaddingInvariance(8, FusionMode::Off);
+}
+
+TEST(PaddingInvariance, FusedBitwiseAtOneThread)
+{
+    runPaddingInvariance(1, FusionMode::On);
+}
+
+TEST(PaddingInvariance, FusedBitwiseAtEightThreads)
+{
+    runPaddingInvariance(8, FusionMode::On);
 }
 
 } // namespace

@@ -27,8 +27,8 @@
  *                         parallelFor/parallelFor2d body.
  *   hot-loop-alloc        no Tensor construction or heap allocation
  *                         in parallelFor bodies or ScopedKernel
- *                         regions (src/): the graph executor's arena
- *                         discipline must hold in hot code.
+ *                         regions (src/): buffers are sized and
+ *                         allocated before the hot loop, not in it.
  *   must-check-io         an IoStatus-returning call whose result is
  *                         neither bound-and-read nor returned drops
  *                         an I/O failure on the floor (src/ .cc).
@@ -47,8 +47,6 @@
  *                         in src/ outside src/io/ — file writes must
  *                         go through the crash-safe, checked I/O
  *                         layer (io/binary_io.h).
- *   arena-escape          Tensor::borrow confined to src/graph (and
- *                         the tensor layer that defines it).
  *
  * Suppressions (per line, or whole file near the top):
  *   // bplint: allow(rule-name)

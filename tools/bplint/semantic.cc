@@ -16,8 +16,8 @@
  *                          a parallelFor/parallelFor2d body.
  *   hot-loop-alloc         no Tensor construction or heap allocation
  *                          inside parallelFor bodies or ScopedKernel
- *                          regions — keeps the graph executor's arena
- *                          discipline honest.
+ *                          regions — an allocation there runs once per
+ *                          chunk or kernel call instead of once.
  *   env-registry           every BERTPROF_* knob read in src/ must
  *                          appear in the README table and vice versa.
  *   include-dag            transitive layering over the real include
@@ -975,9 +975,8 @@ checkHotLoopAlloc(const TuModel &tu, std::vector<Finding> &out)
             out.push_back(
                 {tu.path, lineOf(s, b), "hot-loop-alloc",
                  what + " inside a " + region.what +
-                     " defeats the arena discipline; hoist the "
-                     "buffer out of the hot region (or plan it in "
-                     "the graph executor's arena)"});
+                     " allocates on every chunk or call; hoist the "
+                     "buffer out of the hot region"});
         }
     }
 }
