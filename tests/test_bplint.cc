@@ -14,9 +14,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "lint.h"
+#include "rules.h"
 
 namespace {
 
@@ -435,6 +437,19 @@ TEST(BplintIncludeHygiene, NothingUnderSrcMayDependOnServe)
     EXPECT_TRUE(byRule(lintSource("bench/bench_serving.cc", text),
                        "include-hygiene")
                     .empty());
+}
+
+TEST(BplintIncludeHygiene, OptimMayUseNnButNnMayNotUseOptim)
+{
+    const auto up = lintSource("src/nn/encoder_layer.cc",
+                               "#include \"optim/lamb.h\"\n");
+    EXPECT_TRUE(firesAtLine(up, "include-hygiene", 1));
+
+    const auto down = lintSource("src/optim/lamb.cc",
+                                 "#include \"nn/module.h\"\n"
+                                 "#include \"ops/elementwise.h\"\n"
+                                 "#include \"runtime/profiler.h\"\n");
+    EXPECT_TRUE(byRule(down, "include-hygiene").empty());
 }
 
 TEST(BplintIncludeHygiene, TelemetryMayUseIoAndRuntimeLayers)
@@ -904,6 +919,28 @@ TEST(BplintIncludeDag, AllowedTransitiveReachIsClean)
     EXPECT_TRUE(byRule(findings, "include-hygiene").empty());
 }
 
+TEST(BplintIncludeDag, RuntimeReachesTensorThroughTrace)
+{
+    // runtime lists trace but not tensor; trace lists tensor. The
+    // closure admits the two-hop reach.
+    const auto findings = lintProject(
+        {{"src/trace/taxonomy.h", "#include \"tensor/shape.h\"\n"},
+         {"src/runtime/profiler.h", "#include \"trace/taxonomy.h\"\n"}},
+        LintOptions{});
+    EXPECT_TRUE(byRule(findings, "include-dag").empty());
+    EXPECT_TRUE(byRule(findings, "include-hygiene").empty());
+}
+
+TEST(BplintIncludeDag, OptimThroughNnToIoIsClean)
+{
+    const auto findings = lintProject(
+        {{"src/nn/module.h", "#include \"io/binary_io.h\"\n"},
+         {"src/optim/lamb.cc", "#include \"nn/module.h\"\n"}},
+        LintOptions{});
+    EXPECT_TRUE(byRule(findings, "include-dag").empty());
+    EXPECT_TRUE(byRule(findings, "include-hygiene").empty());
+}
+
 TEST(BplintIncludeDag, DetectsIncludeCycles)
 {
     const auto findings = lintProject(
@@ -1000,6 +1037,27 @@ TEST(BplintProjectModel, RealRepoIncludeGraphIsAcyclicAndLayerOrdered)
             ADD_FAILURE()
                 << f.file << ":" << f.line << " " << f.message;
     }
+}
+
+TEST(BplintProjectModel, LayerMapNamesExactlyTheSrcDirectories)
+{
+    // A layer with no directory is dead policy; a directory with no
+    // layer escapes include-hygiene entirely.
+    namespace fs = std::filesystem;
+    std::set<std::string> dirs;
+    for (const auto &entry :
+         fs::directory_iterator(fs::path(BERTPROF_SOURCE_DIR) / "src"))
+        if (entry.is_directory())
+            dirs.insert(entry.path().filename().string());
+
+    std::set<std::string> layers;
+    for (const auto &[layer, allowed] : bplint::layerMap()) {
+        layers.insert(layer);
+        for (const std::string &dep : allowed)
+            EXPECT_TRUE(bplint::layerMap().count(dep))
+                << layer << " allows unknown layer " << dep;
+    }
+    EXPECT_EQ(layers, dirs);
 }
 
 #endif // BERTPROF_SOURCE_DIR

@@ -6,9 +6,11 @@
  * tolerance) is the contract documented in ops/fused.h.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "ops/reshape.h"
 #include "ops/softmax.h"
 #include "runtime/config.h"
+#include "runtime/profiler.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
 #include "test_helpers.h"
@@ -393,6 +396,193 @@ TEST(FusionEval, ClassifierLogitsCloseAndThreadInvariant)
     setFusionMode(FusionMode::Off);
     Tensor ref8 = classifierLogits(clf, config);
     EXPECT_TRUE(bitwiseEqual(ref8, ref));
+}
+
+TEST(FusionEval, ServeEngineConstructionDoesNotChangeFusedBits)
+{
+    // Fused eval is one eager path: building a serve engine over the
+    // model must not reroute it or change a single bit.
+    KnobGuard guard;
+    const BertConfig config = tinyBertConfig();
+    NnRuntime rt;
+    BertClassifier clf(config, &rt);
+    Rng init(33);
+    clf.initialize(init);
+    clf.setTraining(false);
+
+    setFusionMode(FusionMode::On);
+    const Tensor before = classifierLogits(clf, config);
+    ClassifierEngine engine(clf, kPadId);
+    const Tensor after = classifierLogits(clf, config);
+    EXPECT_TRUE(bitwiseEqual(after, before));
+}
+
+/** Names of the kernels one eval forward of `layer` records. */
+std::vector<std::string>
+evalKernelNames(EncoderLayer &layer, NnRuntime &rt, const Tensor &x,
+                const Tensor &mask, Profiler &prof)
+{
+    prof.clear();
+    rt.profiler = &prof;
+    layer.forward(x, mask, 2, 16);
+    rt.profiler = nullptr;
+    std::vector<std::string> names;
+    for (const auto &rec : prof.records())
+        names.push_back(rec.name);
+    return names;
+}
+
+bool
+contains(const std::vector<std::string> &names, const std::string &name)
+{
+    return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+TEST(FusionEval, EagerFusedAttentionRunsOnlyInFusedEval)
+{
+    KnobGuard guard;
+    LayerPair pair;
+    pair.a.setTraining(false);
+    Rng data(24);
+    Tensor x(Shape({2 * 16, 32}));
+    x.fillNormal(data);
+    Tensor mask(Shape({16, 16}));
+    Profiler prof;
+
+    setFusionMode(FusionMode::On);
+    const auto fused = evalKernelNames(pair.a, pair.rt_a, x, mask, prof);
+    EXPECT_TRUE(contains(fused, "attn.qkv.fwd"));
+    EXPECT_TRUE(contains(fused, "attn.fused.fwd"));
+    EXPECT_FALSE(contains(fused, "attn.score.fwd"));
+
+    setFusionMode(FusionMode::Off);
+    const auto unfused = evalKernelNames(pair.a, pair.rt_a, x, mask, prof);
+    EXPECT_FALSE(contains(unfused, "attn.qkv.fwd"));
+    EXPECT_FALSE(contains(unfused, "attn.fused.fwd"));
+    EXPECT_TRUE(contains(unfused, "attn.score.fwd"));
+
+    // Training keeps the packed QKV GEMM but materializes the scores
+    // (backward needs the probabilities).
+    pair.a.setTraining(true);
+    setFusionMode(FusionMode::On);
+    const auto train = evalKernelNames(pair.a, pair.rt_a, x, mask, prof);
+    EXPECT_TRUE(contains(train, "attn.qkv.fwd"));
+    EXPECT_FALSE(contains(train, "attn.fused.fwd"));
+    EXPECT_TRUE(contains(train, "attn.score.fwd"));
+}
+
+TEST(FusionEval, FusedEvalRunsFewerKernelsAndMovesFewerBytes)
+{
+    // Fig. 12's claim on the substrate: fusion cuts both the kernel
+    // count and the KernelStats memory traffic of an eval forward.
+    KnobGuard guard;
+    LayerPair pair;
+    pair.a.setTraining(false);
+    Rng data(25);
+    Tensor x(Shape({2 * 16, 32}));
+    x.fillNormal(data);
+    Tensor mask(Shape({16, 16}));
+
+    auto traffic = [](const Profiler &prof) {
+        double bytes = 0.0;
+        for (const auto &rec : prof.records())
+            bytes += static_cast<double>(rec.stats.bytesTotal());
+        return bytes;
+    };
+    Profiler prof;
+    setFusionMode(FusionMode::Off);
+    const auto unfused = evalKernelNames(pair.a, pair.rt_a, x, mask, prof);
+    const double unfused_bytes = traffic(prof);
+    setFusionMode(FusionMode::On);
+    const auto fused = evalKernelNames(pair.a, pair.rt_a, x, mask, prof);
+    const double fused_bytes = traffic(prof);
+
+    EXPECT_LT(fused.size(), unfused.size());
+    EXPECT_GT(fused_bytes, 0.0);
+    EXPECT_LT(fused_bytes, unfused_bytes);
+}
+
+TEST(FusionEval, EncoderLayerFusedIsThreadInvariantAndRepeatable)
+{
+    KnobGuard guard;
+    LayerPair pair;
+    pair.a.setTraining(false);
+    Rng data(26);
+    Tensor x(Shape({2 * 16, 32}));
+    x.fillNormal(data);
+    Tensor mask(Shape({16, 16}));
+
+    setFusionMode(FusionMode::On);
+    setNumThreads(1);
+    const Tensor y1 = pair.a.forward(x, mask, 2, 16);
+    setNumThreads(8);
+    const Tensor y8 = pair.a.forward(x, mask, 2, 16);
+    const Tensor y8_again = pair.a.forward(x, mask, 2, 16);
+    EXPECT_TRUE(bitwiseEqual(y8, y1));
+    EXPECT_TRUE(bitwiseEqual(y8_again, y8));
+}
+
+TEST(FusionEval, SwitchingModesLeavesNoState)
+{
+    // An unfused eval forward after a fused one must match a fresh
+    // unfused forward bit for bit, and vice versa.
+    KnobGuard guard;
+    LayerPair pair;
+    pair.a.setTraining(false);
+    Rng data(27);
+    Tensor x(Shape({2 * 16, 32}));
+    x.fillNormal(data);
+    Tensor mask(Shape({16, 16}));
+
+    setFusionMode(FusionMode::Off);
+    const Tensor off_first = pair.a.forward(x, mask, 2, 16);
+    setFusionMode(FusionMode::On);
+    const Tensor on_first = pair.a.forward(x, mask, 2, 16);
+    setFusionMode(FusionMode::Off);
+    const Tensor off_second = pair.a.forward(x, mask, 2, 16);
+    setFusionMode(FusionMode::On);
+    const Tensor on_second = pair.a.forward(x, mask, 2, 16);
+    EXPECT_TRUE(bitwiseEqual(off_second, off_first));
+    EXPECT_TRUE(bitwiseEqual(on_second, on_first));
+}
+
+TEST(FusionEval, SequenceBitsIndependentOfBatchmates)
+{
+    // With a per-sequence mask, a sequence's fused eval output must
+    // not depend on what else shares its batch: the property the
+    // serving padding-invariance gate rests on, at the layer level.
+    KnobGuard guard;
+    const std::int64_t seq = 16, d_model = 32;
+    LayerPair pair;
+    pair.a.setTraining(false);
+    Rng data(28);
+    Tensor x(Shape({2 * seq, d_model}));
+    x.fillNormal(data);
+    Tensor mask2(Shape({2, seq, seq}));
+    for (std::int64_t s = 0; s < 2; ++s)
+        for (std::int64_t i = 0; i < seq; ++i)
+            for (std::int64_t j = 0; j < seq; ++j)
+                mask2.at(s * seq * seq + i * seq + j) =
+                    (j >= seq - 3 * s) ? -1e9f : 0.0f;
+
+    Tensor x0(Shape({seq, d_model}));
+    std::memcpy(x0.data(), x.data(),
+                static_cast<std::size_t>(x0.numel()) * sizeof(float));
+    Tensor mask1(Shape({1, seq, seq}));
+    std::memcpy(mask1.data(), mask2.data(),
+                static_cast<std::size_t>(mask1.numel()) * sizeof(float));
+
+    setFusionMode(FusionMode::On);
+    for (int threads : kThreadSweep) {
+        setNumThreads(threads);
+        const Tensor pair_out = pair.a.forward(x, mask2, 2, seq);
+        const Tensor solo_out = pair.a.forward(x0, mask1, 1, seq);
+        EXPECT_EQ(std::memcmp(solo_out.data(), pair_out.data(),
+                              static_cast<std::size_t>(solo_out.numel()) *
+                                  sizeof(float)),
+                  0)
+            << threads << " threads";
+    }
 }
 
 TEST(FusionServe, EndToEndLogitsParity)

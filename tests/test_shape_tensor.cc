@@ -1,5 +1,7 @@
 /** Tests for Shape and Tensor. */
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "tensor/shape.h"
@@ -129,6 +131,65 @@ TEST(Tensor, ToStringMentionsShapeAndDtype)
 {
     Tensor t(Shape({2, 3}));
     EXPECT_EQ(t.toString(), "Tensor[2, 3] fp32");
+}
+
+// Every Tensor owns its storage: copies never alias, moves hand the
+// buffer over, and nothing shares memory with the tensor it came from.
+
+TEST(Tensor, CopyConstructionOwnsSeparateStorage)
+{
+    Tensor a(Shape({2, 2}), {1.0f, 2.0f, 3.0f, 4.0f});
+    Tensor b(a);
+    EXPECT_NE(b.data(), a.data());
+    b.at(1, 1) = -1.0f;
+    EXPECT_EQ(a.at(1, 1), 4.0f);
+    EXPECT_EQ(b.at(0, 1), 2.0f);
+}
+
+TEST(Tensor, CopyAssignmentOwnsSeparateStorage)
+{
+    Tensor a(Shape({3}), {1.0f, 2.0f, 3.0f}, DType::F16);
+    Tensor b(Shape({5}));
+    b = a;
+    EXPECT_EQ(b.shape(), a.shape());
+    EXPECT_EQ(b.dtype(), DType::F16);
+    EXPECT_NE(b.data(), a.data());
+    a.fill(0.0f);
+    EXPECT_EQ(b.sum(), 6.0);
+}
+
+TEST(Tensor, MoveHandsOverTheSameBuffer)
+{
+    Tensor a(Shape({4, 8}));
+    a.fill(2.0f);
+    const float *buffer = a.data();
+    Tensor b(std::move(a));
+    EXPECT_EQ(b.data(), buffer);
+    EXPECT_EQ(b.sum(), 64.0);
+
+    Tensor c;
+    c = std::move(b);
+    EXPECT_EQ(c.data(), buffer);
+    EXPECT_EQ(c.shape(), Shape({4, 8}));
+}
+
+TEST(Tensor, ReshapedOwnsSeparateStorage)
+{
+    Tensor a(Shape({2, 3}), {0.0f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f});
+    Tensor b = a.reshaped(Shape({3, 2}));
+    EXPECT_NE(b.data(), a.data());
+    b.at(2, 1) = 50.0f;
+    EXPECT_EQ(a.at(1, 2), 5.0f);
+}
+
+TEST(Tensor, DefaultTensorOwnsOneZeroElement)
+{
+    Tensor t;
+    EXPECT_EQ(t.numel(), 1);
+    ASSERT_NE(t.data(), nullptr);
+    EXPECT_EQ(t.at(0), 0.0f);
+    t.at(0) = 3.0f;
+    EXPECT_EQ(t.clone().at(0), 3.0f);
 }
 
 } // namespace
