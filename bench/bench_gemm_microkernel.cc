@@ -71,7 +71,7 @@ supportedVariants()
 {
     std::vector<const GemmVariant *> out;
     for (const GemmVariant &v : gemmVariants())
-        if (v.hostSupports())
+        if (isaSupported(v.isa))
             out.push_back(&v);
     return out;
 }

@@ -5,6 +5,7 @@
 
 #include "io/binary_io.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -196,16 +197,17 @@ writeFileAtomic(const std::string &path, const std::string &payload,
             "transient write failure injected for " + path);
     }
 
-    std::string file;
-    file.reserve(20 + payload.size());
+    // The 20-byte header and the payload go out as two writes, so
+    // the payload is never copied into a second file-sized buffer.
+    std::string header;
     const std::uint32_t magic = kMagic;
     const std::uint64_t size = payload.size();
     const std::uint32_t crc = crc32(payload);
-    putLe(file, &magic, sizeof magic);
-    putLe(file, &version, sizeof version);
-    putLe(file, &size, sizeof size);
-    putLe(file, &crc, sizeof crc);
-    file.append(payload);
+    putLe(header, &magic, sizeof magic);
+    putLe(header, &version, sizeof version);
+    putLe(header, &size, sizeof size);
+    putLe(header, &crc, sizeof crc);
+    const std::size_t file_size = header.size() + payload.size();
 
     const std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
@@ -217,16 +219,18 @@ writeFileAtomic(const std::string &path, const std::string &payload,
     // the temp file and the commit rename never happens, so the
     // previously committed checkpoint (if any) stays intact.
     const std::size_t to_write =
-        fault == FaultKind::TornWrite ? file.size() / 2 : file.size();
-    const std::size_t wrote =
-        to_write == 0 ? 0 : std::fwrite(file.data(), 1, to_write, f);
+        fault == FaultKind::TornWrite ? file_size / 2 : file_size;
+    const std::size_t head = std::min(to_write, header.size());
+    std::size_t wrote = std::fwrite(header.data(), 1, head, f);
+    if (to_write > head)
+        wrote += std::fwrite(payload.data(), 1, to_write - head, f);
     if (fault == FaultKind::TornWrite) {
         std::fclose(f);
         return IoStatus::failure(IoError::WriteFailed,
                                  "torn write injected for " + tmp +
                                      " (file left truncated)");
     }
-    if (wrote != file.size()) {
+    if (wrote != file_size) {
         std::fclose(f);
         std::remove(tmp.c_str());
         return IoStatus::failure(IoError::WriteFailed,

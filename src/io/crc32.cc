@@ -6,17 +6,37 @@ namespace bertprof {
 
 namespace {
 
-std::array<std::uint32_t, 256>
-makeTable()
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Slice-by-8 tables (Kounavis & Berry): tables[0] is the classic
+ * byte-at-a-time table; tables[k][b] is the CRC of byte b followed by
+ * k zero bytes, so eight table lookups advance the CRC by 8 bytes.
+ */
+Tables
+makeTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    Tables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::uint32_t i = 0; i < 256; ++i)
+        for (std::size_t k = 1; k < 8; ++k)
+            t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    return t;
+}
+
+/** Little-endian 32-bit load from any alignment. */
+inline std::uint32_t
+load32(const unsigned char *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -24,11 +44,19 @@ makeTable()
 std::uint32_t
 crc32(const void *data, std::size_t size, std::uint32_t seed)
 {
-    static const std::array<std::uint32_t, 256> table = makeTable();
+    static const Tables t = makeTables();
     const auto *p = static_cast<const unsigned char *>(data);
     std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    for (; size >= 8; size -= 8, p += 8) {
+        const std::uint32_t lo = load32(p) ^ c;
+        const std::uint32_t hi = load32(p + 4);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; --size, ++p)
+        c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) used to checksum
- * checkpoint payloads. Table-driven, incremental-friendly: feed
- * chunks by passing the previous return value as `seed`.
+ * checkpoint payloads. Slice-by-8 (eight table lookups per 8 bytes),
+ * incremental-friendly: feed chunks by passing the previous return
+ * value as `seed`.
  */
 
 #ifndef BERTPROF_IO_CRC32_H

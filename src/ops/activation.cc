@@ -2,18 +2,12 @@
 
 #include <cmath>
 
+#include "ops/gelu_kernels.h"
 #include "runtime/parallel_for.h"
 #include "tensor/contracts.h"
 #include "util/logging.h"
 
 namespace bertprof {
-
-namespace {
-
-constexpr double kInvSqrt2 = 0.7071067811865475244;
-constexpr double kInvSqrt2Pi = 0.3989422804014326779;
-
-} // namespace
 
 KernelStats
 geluForward(const Tensor &in, Tensor &out)
@@ -21,14 +15,11 @@ geluForward(const Tensor &in, Tensor &out)
     BP_CHECK_SAME_SHAPE(in, out);
     BP_CHECK_NO_PARTIAL_ALIAS(out, in);
     const std::int64_t n = in.numel();
-    parallelFor(0, n, kElementwiseGrain, [&](std::int64_t lo,
-                                             std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-            const double x = in.data()[i];
-            out.data()[i] = static_cast<float>(
-                x * 0.5 * (1.0 + std::erf(x * kInvSqrt2)));
-        }
-    });
+    const GeluKernels &gelu = selectedGeluKernels();
+    parallelFor(0, n, kElementwiseGrain,
+                [&](std::int64_t lo, std::int64_t hi) {
+                    gelu.forward(in.data() + lo, out.data() + lo, hi - lo);
+                });
     // The paper decomposes unfused GeLU into ~5 EW ops (mul, add,
     // div, erf, mul); we count the fused arithmetic here.
     return elementwiseStats(n, 1, 1, 5, dtypeBytes(in.dtype()));
@@ -42,16 +33,12 @@ geluBackward(const Tensor &in, const Tensor &dout, Tensor &din)
     BP_CHECK_NO_PARTIAL_ALIAS(din, in);
     BP_CHECK_NO_PARTIAL_ALIAS(din, dout);
     const std::int64_t n = in.numel();
-    parallelFor(0, n, kElementwiseGrain, [&](std::int64_t lo,
-                                             std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-            const double x = in.data()[i];
-            const double cdf = 0.5 * (1.0 + std::erf(x * kInvSqrt2));
-            const double pdf = kInvSqrt2Pi * std::exp(-0.5 * x * x);
-            din.data()[i] =
-                static_cast<float>(dout.data()[i] * (cdf + x * pdf));
-        }
-    });
+    const GeluKernels &gelu = selectedGeluKernels();
+    parallelFor(0, n, kElementwiseGrain,
+                [&](std::int64_t lo, std::int64_t hi) {
+                    gelu.backward(in.data() + lo, dout.data() + lo,
+                                  din.data() + lo, hi - lo);
+                });
     return elementwiseStats(n, 2, 1, 8, dtypeBytes(in.dtype()));
 }
 

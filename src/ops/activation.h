@@ -13,7 +13,9 @@
 
 namespace bertprof {
 
-/** out = GELU(in), element-wise, exact erf formulation. */
+/** out = GELU(in), element-wise, erf formulation evaluated in float
+ * by the selected ISA variant's rows (ops/gelu_kernels.h); its error
+ * budget against the double erf is in DESIGN.md. */
 KernelStats geluForward(const Tensor &in, Tensor &out);
 
 /**

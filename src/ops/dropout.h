@@ -15,8 +15,12 @@ namespace bertprof {
 
 /**
  * Forward: draws a Bernoulli(1-p) mask scaled by 1/(1-p) into `mask`
- * and writes out = in * mask. With p == 0 the mask is all ones
- * (useful for deterministic tests).
+ * and writes out = in * mask, in one parallel pass. The mask is
+ * counter-based: one 64-bit key is taken from `rng` per call (none
+ * when p == 0, where the mask is all ones), and element i is dropped
+ * iff output i of the splitmix64 stream seeded with that key is below
+ * p * 2^64. So the mask of a prefix is the
+ * prefix of the mask, and its bits never depend on the thread count.
  */
 KernelStats dropoutForward(const Tensor &in, float p, Rng &rng, Tensor &out,
                            Tensor &mask);

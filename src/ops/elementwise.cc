@@ -74,8 +74,7 @@ biasForward(const Tensor &in, const Tensor &bias, Tensor &out)
     BP_CHECK_NO_PARTIAL_ALIAS(out, in);
     BP_CHECK_NO_ALIAS(out, bias);
     const std::int64_t cols = bias.shape().dim(0);
-    BP_REQUIRE(in.numel() % cols == 0);
-    const std::int64_t rows = in.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(in, cols);
     parallelFor(0, rows, rowGrain(cols),
                 [&](std::int64_t r_lo, std::int64_t r_hi) {
                     for (std::int64_t r = r_lo; r < r_hi; ++r)
@@ -95,8 +94,7 @@ biasBackward(const Tensor &dout, Tensor &dbias)
     BP_CHECK_RANK(dbias, 1);
     BP_CHECK_NO_ALIAS(dbias, dout);
     const std::int64_t cols = dbias.shape().dim(0);
-    BP_REQUIRE(dout.numel() % cols == 0);
-    const std::int64_t rows = dout.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(dout, cols);
     dbias.fill(0.0f);
     // Parallel over columns, serial over the row (reduction) axis:
     // each dbias[c] accumulates rows in the same ascending order as

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "ops/gelu_kernels.h"
 #include "ops/gemm.h"
 #include "ops/gemm_microkernel.h"
 #include "runtime/parallel_for.h"
@@ -12,16 +13,6 @@
 namespace bertprof {
 
 namespace {
-
-constexpr double kInvSqrt2 = 0.7071067811865475244;
-
-/** Same per-element arithmetic as geluForward (ops/activation.cc). */
-inline float
-geluScalar(float v)
-{
-    const double x = v;
-    return static_cast<float>(x * 0.5 * (1.0 + std::erf(x * kInvSqrt2)));
-}
 
 /**
  * Normalize one row exactly as layerNormForward does: double mean and
@@ -85,9 +76,12 @@ fusedBiasGeluForward(const Tensor &in, const Tensor &bias, Tensor &out)
     BP_CHECK_NO_PARTIAL_ALIAS(out, in);
     BP_CHECK_NO_ALIAS(out, bias);
     const std::int64_t cols = bias.shape().dim(0);
-    BP_REQUIRE(in.numel() % cols == 0);
-    const std::int64_t rows = in.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(in, cols);
 
+    // The bias sum is the float biasForward writes; GeLU then runs
+    // in place on the cache-hot row through geluForward's own row
+    // kernel, whose bits do not depend on an element's position.
+    const GeluKernels &gelu = selectedGeluKernels();
     parallelFor(0, rows, rowGrain(cols),
                 [&](std::int64_t r_lo, std::int64_t r_hi) {
                     for (std::int64_t r = r_lo; r < r_hi; ++r) {
@@ -95,7 +89,8 @@ fusedBiasGeluForward(const Tensor &in, const Tensor &bias, Tensor &out)
                         const float *bv = bias.data();
                         float *dst = out.data() + r * cols;
                         for (std::int64_t c = 0; c < cols; ++c)
-                            dst[c] = geluScalar(src[c] + bv[c]);
+                            dst[c] = src[c] + bv[c];
+                        gelu.forward(dst, dst, cols);
                     }
                 });
     // Flops: 1 (bias add) + 5 (GeLU) per element, as the unfused pair
@@ -119,21 +114,18 @@ fusedBiasGeluForwardWithPre(const Tensor &in, const Tensor &bias,
     BP_CHECK_NO_ALIAS(out, in);
     BP_CHECK_NO_ALIAS(out, bias);
     const std::int64_t cols = bias.shape().dim(0);
-    BP_REQUIRE(in.numel() % cols == 0);
-    const std::int64_t rows = in.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(in, cols);
 
+    const GeluKernels &gelu = selectedGeluKernels();
     parallelFor(0, rows, rowGrain(cols),
                 [&](std::int64_t r_lo, std::int64_t r_hi) {
                     for (std::int64_t r = r_lo; r < r_hi; ++r) {
                         const float *src = in.data() + r * cols;
                         const float *bv = bias.data();
                         float *prow = pre.data() + r * cols;
-                        float *dst = out.data() + r * cols;
-                        for (std::int64_t c = 0; c < cols; ++c) {
-                            const float p = src[c] + bv[c];
-                            prow[c] = p;
-                            dst[c] = geluScalar(p);
-                        }
+                        for (std::int64_t c = 0; c < cols; ++c)
+                            prow[c] = src[c] + bv[c];
+                        gelu.forward(prow, out.data() + r * cols, cols);
                     }
                 });
     KernelStats s = elementwiseStats(in.numel(), 1, 2, 6,
@@ -158,7 +150,7 @@ fusedResidualLayerNormForward(const Tensor &a, const Tensor &b,
     BP_CHECK_NO_ALIAS(out, beta);
     const std::int64_t cols = gamma.shape().dim(0);
     BP_REQUIRE(a.shape().dim(-1) == cols);
-    const std::int64_t rows = a.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(a, cols);
     BP_REQUIRE(mean.numel() == rows && rstd.numel() == rows);
 
     parallelFor(0, rows, rowGrain(cols),
@@ -203,7 +195,7 @@ fusedResidualLayerNormForwardWithSum(const Tensor &a, const Tensor &b,
     BP_CHECK_NO_ALIAS(out, b);
     const std::int64_t cols = gamma.shape().dim(0);
     BP_REQUIRE(a.shape().dim(-1) == cols);
-    const std::int64_t rows = a.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(a, cols);
     BP_REQUIRE(mean.numel() == rows && rstd.numel() == rows);
 
     parallelFor(0, rows, rowGrain(cols),

@@ -1,6 +1,6 @@
 // Baseline variant of the packed GEMM engine (compiled for the
 // build's default ISA), the per-thread packing buffers, and the
-// run-time choice of variant.
+// variant table ops/isa_dispatch.h indexes.
 
 #include "ops/gemm_microkernel.h"
 
@@ -38,35 +38,12 @@ gemmPackBufferB()
 
 namespace {
 
-bool
-always()
-{
-    return true;
-}
-
-#if defined(BP_GEMM_X86_VARIANTS)
-// __builtin_cpu_supports reports an AVX-family feature only when the
-// OS also saves its register state (XCR0). __builtin_cpu_init makes
-// the query safe from static initializers.
-bool
-hasAvx2Fma()
-{
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-
-bool
-hasAvx512()
-{
-    return hasAvx2Fma() && __builtin_cpu_supports("avx512f");
-}
-#endif
-
+// Indexed by Isa: gemmVariants()[i].isa == Isa(i).
 constexpr GemmVariant kVariants[] = {
-    {"baseline", 4, 8, gemmPackedRowsBaseline, always},
-#if defined(BP_GEMM_X86_VARIANTS)
-    {"avx2", 6, 16, gemmPackedRowsAvx2, hasAvx2Fma},
-    {"avx512", 8, 32, gemmPackedRowsAvx512, hasAvx512},
+    {"baseline", 4, 8, gemmPackedRowsBaseline, Isa::Baseline},
+#if defined(BP_X86_ISA_VARIANTS)
+    {"avx2", 6, 16, gemmPackedRowsAvx2, Isa::Avx2},
+    {"avx512", 8, 32, gemmPackedRowsAvx512, Isa::Avx512},
 #endif
 };
 
@@ -81,16 +58,7 @@ gemmVariants()
 const GemmVariant &
 selectedGemmVariant()
 {
-    // Never chosen by shape: one process runs one variant, so batched
-    // vs solo and checkpoint-resume results stay bitwise comparable.
-    static const GemmVariant *const selected = [] {
-        const GemmVariant *widest = &kVariants[0];
-        for (const GemmVariant &v : kVariants)
-            if (v.hostSupports())
-                widest = &v;
-        return widest;
-    }();
-    return *selected;
+    return kVariants[static_cast<int>(selectedIsa())];
 }
 
 const std::int64_t kGemmMR = selectedGemmVariant().mr;

@@ -19,8 +19,8 @@
  * Variants: the engine is one template on the register tile, built
  * once per target ISA — baseline 4x8, AVX2+FMA 6x16, AVX-512 8x32 —
  * each in its own TU with its own compile flags. gemmPackedRows()
- * picks the widest variant the CPU and OS support when it is first
- * called and keeps that choice for the life of the process.
+ * runs the variant of the process-wide selectedIsa()
+ * (ops/isa_dispatch.h), the same one the float GeLU runs.
  *
  * Determinism: each output element's accumulation order is a pure
  * function of (n, k) — KC blocks in ascending pc order, products in
@@ -38,6 +38,8 @@
 
 #include <cstdint>
 #include <span>
+
+#include "ops/isa_dispatch.h"
 
 namespace bertprof {
 
@@ -76,14 +78,14 @@ struct GemmVariant {
     const char *name;     ///< "baseline", "avx2" or "avx512"
     std::int64_t mr, nr;  ///< register tile
     GemmRowsFn rows;      ///< entry point, same contract as gemmPackedRows
-    bool (*hostSupports)(); ///< CPU has the ISA and the OS saves its state
+    Isa isa;              ///< instruction set the variant is compiled for
 };
 
-/** Every variant compiled into this build, narrowest first. The
- * baseline is always present and always supported. */
+/** Every variant compiled into this build, narrowest first and
+ * indexed by Isa. The baseline is always present and supported. */
 std::span<const GemmVariant> gemmVariants();
 
-/** The widest variant this host supports; resolved once per process.
+/** The variant of selectedIsa(), the widest this host supports.
  * gemm(), batchedGemm() and the fused attention all run it. */
 const GemmVariant &selectedGemmVariant();
 

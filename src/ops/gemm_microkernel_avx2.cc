@@ -1,6 +1,6 @@
 // AVX2+FMA variant of the packed GEMM engine (6x16 tile). Built with
 // -mavx2 -mfma (src/ops/CMakeLists.txt) and run only on CPUs that
-// selectedGemmVariant() found to support it; it exports nothing but
+// selectedIsa() found to support it; it exports nothing but
 // its entry point (see ops/gemm_microkernel_impl.h).
 
 #include "ops/gemm_microkernel_impl.h"

@@ -1,6 +1,6 @@
 // AVX-512 variant of the packed GEMM engine (8x32 tile). Built with
 // -mavx512f -mavx2 -mfma (src/ops/CMakeLists.txt) and run only on
-// CPUs that selectedGemmVariant() found to support it; it exports
+// CPUs that selectedIsa() found to support it; it exports
 // nothing but its entry point (see ops/gemm_microkernel_impl.h).
 
 #include "ops/gemm_microkernel_impl.h"

@@ -11,7 +11,7 @@
  * std::min). A wide-ISA TU must not emit a weak (COMDAT) copy of a
  * symbol other TUs also define: the linker may keep that copy for
  * every caller, and CPUs without the ISA would hit SIGILL. The
- * gemm_variant_symbols_* CTests check the wide objects for this.
+ * isa_variant_symbols_* CTests check the wide objects for this.
  */
 
 #ifndef BERTPROF_OPS_GEMM_MICROKERNEL_IMPL_H

@@ -24,7 +24,11 @@ layerNormForward(const Tensor &in, const Tensor &gamma, const Tensor &beta,
     BP_CHECK_NO_ALIAS(rstd, out);
     const std::int64_t cols = gamma.shape().dim(0);
     BP_REQUIRE(in.shape().dim(-1) == cols);
-    const std::int64_t rows = in.numel() / cols;
+    // No elements (zero rows or zero-width rows): nothing to normalize
+    // and no statistics to write.
+    if (in.numel() == 0)
+        return KernelStats{};
+    const std::int64_t rows = contracts::rowCount(in, cols);
     BP_REQUIRE(mean.numel() == rows && rstd.numel() == rows);
 
     // Rows are fully independent: statistics and normalization for a
@@ -69,7 +73,6 @@ layerNormBackward(const Tensor &in, const Tensor &gamma, const Tensor &mean,
 {
     BP_CHECK_RANK(gamma, 1);
     const std::int64_t cols = gamma.shape().dim(0);
-    const std::int64_t rows = in.numel() / cols;
     BP_CHECK_SAME_SHAPE(in, dout);
     BP_CHECK_SAME_SHAPE(in, din);
     BP_CHECK_SAME_SHAPE(dgamma, gamma);
@@ -82,10 +85,14 @@ layerNormBackward(const Tensor &in, const Tensor &gamma, const Tensor &mean,
     BP_CHECK_NO_ALIAS(dgamma, dout);
     BP_CHECK_NO_ALIAS(dbeta, in);
     BP_CHECK_NO_ALIAS(dbeta, dout);
-    BP_REQUIRE(mean.numel() == rows && rstd.numel() == rows);
 
     dgamma.fill(0.0f);
     dbeta.fill(0.0f);
+    // No elements: din is empty and the parameter grads sum no rows.
+    if (in.numel() == 0)
+        return KernelStats{};
+    const std::int64_t rows = contracts::rowCount(in, cols);
+    BP_REQUIRE(mean.numel() == rows && rstd.numel() == rows);
     // Pass 1 — din, parallel over rows. Each row's reductions
     // (sum_gdy, sum_gdy_xhat) stay inside the row, so partitioning
     // rows does not change any accumulation order.

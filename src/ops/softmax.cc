@@ -15,7 +15,7 @@ softmaxForward(const Tensor &in, Tensor &out)
     BP_CHECK_NO_PARTIAL_ALIAS(out, in);
     BP_REQUIRE(in.shape().rank() >= 1);
     const std::int64_t cols = in.shape().dim(-1);
-    const std::int64_t rows = in.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(in, cols);
 
     // Each softmax row (max, exp, sum, scale) is self-contained, so
     // row-partitioned execution is bitwise identical to the serial
@@ -50,7 +50,7 @@ softmaxBackward(const Tensor &out, const Tensor &dout, Tensor &din)
     BP_CHECK_NO_PARTIAL_ALIAS(din, out);
     BP_CHECK_NO_PARTIAL_ALIAS(din, dout);
     const std::int64_t cols = out.shape().dim(-1);
-    const std::int64_t rows = out.numel() / cols;
+    const std::int64_t rows = contracts::rowCount(out, cols);
 
     parallelFor(0, rows, rowGrain(cols), [&](std::int64_t r_lo,
                                              std::int64_t r_hi) {

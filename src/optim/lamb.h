@@ -13,6 +13,7 @@
 #define BERTPROF_OPTIM_LAMB_H
 
 #include <unordered_map>
+#include <vector>
 
 #include "optim/optimizer.h"
 
@@ -47,6 +48,8 @@ class Lamb : public Optimizer
         State(const Shape &shape) : m(shape), v(shape) {}
     };
     std::unordered_map<const Parameter *, State> state_;
+    /** Stage 1's per-chunk (||w||^2, ||u||^2) partials, reused. */
+    std::vector<double> partials_;
 };
 
 } // namespace bertprof

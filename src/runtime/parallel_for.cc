@@ -1,7 +1,5 @@
 #include "runtime/parallel_for.h"
 
-#include <vector>
-
 #include "runtime/thread_pool.h"
 
 namespace bertprof {
@@ -73,29 +71,37 @@ parallelFor2d(std::int64_t n0, std::int64_t n1, std::int64_t grain0,
     });
 }
 
-double
-parallelReduceOrdered(
+std::int64_t
+chunkCount(std::int64_t range, std::int64_t grain)
+{
+    if (range <= 0)
+        return 0;
+    const std::int64_t g = resolveGrain(range, grain, kMaxChunks);
+    return (range + g - 1) / g;
+}
+
+void
+parallelForChunks(
     std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<double(std::int64_t, std::int64_t)> &body)
+    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>
+        &body)
 {
     const std::int64_t range = end - begin;
     if (range <= 0)
-        return 0.0;
+        return;
     const std::int64_t g = resolveGrain(range, grain, kMaxChunks);
     const std::int64_t chunks = (range + g - 1) / g;
-    ThreadPool &pool = ThreadPool::instance();
-    if (chunks <= 1 || pool.numThreads() <= 1 || ThreadPool::inWorker())
-        return body(begin, end);
-    std::vector<double> partials(static_cast<std::size_t>(chunks), 0.0);
-    pool.run(chunks, [&](std::int64_t c) {
+    const auto run_chunk = [&](std::int64_t c) {
         const std::int64_t lo = begin + c * g;
-        partials[static_cast<std::size_t>(c)] =
-            body(lo, std::min(lo + g, end));
-    });
-    double total = 0.0;
-    for (const double p : partials)
-        total += p;
-    return total;
+        body(c, lo, std::min(lo + g, end));
+    };
+    ThreadPool &pool = ThreadPool::instance();
+    if (chunks <= 1 || pool.numThreads() <= 1 || ThreadPool::inWorker()) {
+        for (std::int64_t c = 0; c < chunks; ++c)
+            run_chunk(c);
+        return;
+    }
+    pool.run(chunks, run_chunk);
 }
 
 } // namespace bertprof

@@ -7,11 +7,10 @@
  * count — and every chunk writes a disjoint slice of the output with
  * the same per-element arithmetic as the serial loop. Kernels built
  * on parallelFor/parallelFor2d are therefore bitwise identical for
- * every thread count. parallelReduceOrdered carries reductions the
- * same way: chunk-local partial sums merged in chunk-index order, so
- * any parallel thread count (2, 4, 8, ...) produces identical bits;
- * with 1 thread it degenerates to the plain sequential accumulation,
- * exactly recovering the pre-runtime serial behaviour.
+ * every thread count. parallelForChunks carries reductions the same
+ * way: it exposes the chunk index, so chunk-local partials can be
+ * merged in chunk order, and it walks the same grid with one thread,
+ * so every thread count (1 included) produces identical bits.
  *
  * Nested use (a body invoking another parallel loop) falls back to
  * serial execution inside the worker — no deadlock, no
@@ -61,14 +60,22 @@ void parallelFor2d(
                              std::int64_t)> &body);
 
 /**
- * Ordered parallel sum: body(lo, hi) returns the partial sum of its
- * chunk; partials are merged in chunk-index order. Identical bits for
- * any parallel thread count; with 1 thread returns body(begin, end)
- * directly (the sequential accumulation order).
+ * Number of chunks parallelFor splits a range of `range` iterations
+ * into at `grain` (at most 256). Pure in (range, grain).
  */
-double parallelReduceOrdered(
+std::int64_t chunkCount(std::int64_t range, std::int64_t grain);
+
+/**
+ * body(chunk, lo, hi) for every chunk c in [0, chunkCount(end - begin,
+ * grain)) of parallelFor's grid — also with one thread, where the
+ * chunks run in order on the caller. A kernel that keeps one partial
+ * per chunk and merges the partials in chunk order therefore gets the
+ * same bits at every thread count, 1 included.
+ */
+void parallelForChunks(
     std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<double(std::int64_t, std::int64_t)> &body);
+    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>
+        &body);
 
 } // namespace bertprof
 

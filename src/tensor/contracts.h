@@ -66,6 +66,18 @@ allFinite(const Tensor &t)
     return true;
 }
 
+/**
+ * Rows of `t` viewed row-major as [rows, cols]. Requires numel to be
+ * a multiple of cols; zero-width rows (cols == 0) hold no elements,
+ * so they count as no rows rather than dividing by zero.
+ */
+inline std::int64_t
+rowCount(const Tensor &t, std::int64_t cols)
+{
+    BP_REQUIRE(cols == 0 ? t.numel() == 0 : t.numel() % cols == 0);
+    return cols == 0 ? 0 : t.numel() / cols;
+}
+
 } // namespace contracts
 } // namespace bertprof
 

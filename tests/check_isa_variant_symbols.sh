@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# SIGILL guard for the wide-ISA GEMM variants: a TU compiled with
-# AVX2/AVX-512 flags may define exactly one global symbol, its entry
-# point, and no weak or COMDAT symbol (nm types W/w, V/v, u). A weak
+# SIGILL guard for the wide-ISA kernel variants (packed GEMM, float
+# GeLU): a TU compiled with AVX2/AVX-512 flags may define exactly one
+# global symbol, its entry point, and no weak or COMDAT symbol (nm types W/w, V/v, u). A weak
 # copy of shared inline code (a std:: template, an inline function)
 # could win at link time and put wide instructions on the path of
 # CPUs that lack them.
 #
-# Usage: check_gemm_variant_symbols.sh <nm> <entry> <object>...
+# Usage: check_isa_variant_symbols.sh <nm> <entry> <object>...
 #   <entry> is the unqualified name of the variant's entry point in
-#   namespace bertprof, e.g. gemmPackedRowsAvx2.
+#   namespace bertprof, e.g. gemmPackedRowsAvx2 or geluKernelsAvx512.
 set -uo pipefail
 
 if [[ $# -lt 3 ]]; then

@@ -165,5 +165,22 @@ TEST(Softmax, GradientMatchesFiniteDifference)
     expectGradientsMatch(in, loss, din, 1e-3, 1e-2);
 }
 
+TEST(Softmax, ZeroWidthRowsForwardIsNoOp)
+{
+    // [3, 0]: three rows of nothing. Used to divide by cols == 0.
+    Tensor in(Shape({3, 0})), out(Shape({3, 0}));
+    const KernelStats s = softmaxForward(in, out);
+    EXPECT_EQ(s.flops, 0);
+    EXPECT_EQ(s.bytesRead + s.bytesWritten, 0);
+}
+
+TEST(Softmax, ZeroWidthRowsBackwardIsNoOp)
+{
+    Tensor out(Shape({3, 0})), dout(Shape({3, 0})), din(Shape({3, 0}));
+    const KernelStats s = softmaxBackward(out, dout, din);
+    EXPECT_EQ(s.flops, 0);
+    EXPECT_EQ(s.bytesRead + s.bytesWritten, 0);
+}
+
 } // namespace
 } // namespace bertprof

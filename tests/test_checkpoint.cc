@@ -81,6 +81,42 @@ TEST(Crc32, IncrementalEqualsWholeBuffer)
     EXPECT_EQ(inc, whole);
 }
 
+TEST(Crc32, SliceBy8MatchesByteAtATimeTable)
+{
+    // The classic one-table, one-byte-per-step CRC as the oracle.
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    const auto byte_crc = [&](const unsigned char *p, std::size_t n,
+                              std::uint32_t seed) {
+        std::uint32_t c = seed ^ 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i)
+            c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+        return c ^ 0xFFFFFFFFu;
+    };
+    Rng rng(32);
+    std::vector<unsigned char> buf(4096 + 16);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.uniformInt(0, 255));
+    for (int trial = 0; trial < 300; ++trial) {
+        // Random lengths 0..4 KiB at unaligned starts, some seeded.
+        const auto len = static_cast<std::size_t>(
+            trial < 20 ? trial : rng.uniformInt(0, 4096));
+        const auto start = static_cast<std::size_t>(rng.uniformInt(0, 15));
+        const std::uint32_t seed =
+            trial % 3 == 0 ? 0u
+                           : static_cast<std::uint32_t>(
+                                 rng.uniformInt(0, 0xFFFFFFFFLL));
+        ASSERT_EQ(crc32(buf.data() + start, len, seed),
+                  byte_crc(buf.data() + start, len, seed))
+            << "len=" << len << " start=" << start;
+    }
+}
+
 // --------------------------------------------------------------------
 // BinaryWriter / BinaryReader
 // --------------------------------------------------------------------

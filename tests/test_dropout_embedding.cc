@@ -63,6 +63,51 @@ TEST(Dropout, BackwardAppliesSavedMask)
         EXPECT_FLOAT_EQ(din.at(i), 2.0f * mask.at(i));
 }
 
+TEST(Dropout, PrefixMaskIsPrefixOfLongerMask)
+{
+    // The mask is a function of (key, element index): from the same
+    // Rng state, a shorter tensor gets exactly the leading elements
+    // of a longer one's mask.
+    Rng data(5);
+    Tensor in(Shape({3000}));
+    in.fillNormal(data);
+    Tensor prefix(Shape({37}));
+    for (std::int64_t i = 0; i < prefix.numel(); ++i)
+        prefix.data()[i] = in.data()[i];
+    Rng a(77), b(77);
+    Tensor out(in.shape()), mask(in.shape());
+    dropoutForward(in, 0.3f, a, out, mask);
+    Tensor pout(prefix.shape()), pmask(prefix.shape());
+    dropoutForward(prefix, 0.3f, b, pout, pmask);
+    for (std::int64_t i = 0; i < prefix.numel(); ++i) {
+        EXPECT_EQ(pmask.at(i), mask.at(i)) << "i=" << i;
+        EXPECT_EQ(pout.at(i), out.at(i)) << "i=" << i;
+    }
+}
+
+TEST(Dropout, EachCallTakesExactlyOneDrawAndNoneAtZero)
+{
+    Tensor in(Shape({5000}));
+    in.fill(1.0f);
+    Tensor out(in.shape()), mask(in.shape());
+
+    Rng rng(9), ref(9);
+    dropoutForward(in, 0.1f, rng, out, mask);
+    ref.engine().discard(1);
+    EXPECT_EQ(rng.engine()(), ref.engine()());
+
+    dropoutForward(in, 0.0f, rng, out, mask); // p == 0: no draw
+    EXPECT_EQ(rng.engine()(), ref.engine()());
+
+    // Two calls: two draws, and two different masks.
+    Tensor mask2(in.shape());
+    dropoutForward(in, 0.5f, rng, out, mask);
+    dropoutForward(in, 0.5f, rng, out, mask2);
+    ref.engine().discard(2);
+    EXPECT_EQ(rng.engine()(), ref.engine()());
+    EXPECT_GT(maxAbsDiff(mask, mask2), 0.0f);
+}
+
 TEST(Embedding, GatherCopiesRows)
 {
     Tensor table(Shape({4, 3}),

@@ -114,5 +114,21 @@ TEST(KernelStats, AdditionAccumulates)
     EXPECT_EQ(c.bytesTotal(), 155);
 }
 
+TEST(Elementwise, BiasForwardZeroWidthRowsIsNoOp)
+{
+    Tensor in(Shape({3, 0})), bias(Shape({0})), out(Shape({3, 0}));
+    const KernelStats s = biasForward(in, bias, out);
+    EXPECT_EQ(s.flops, 0);
+    EXPECT_EQ(s.bytesRead + s.bytesWritten, 0);
+}
+
+TEST(Elementwise, BiasBackwardZeroWidthRowsIsNoOp)
+{
+    Tensor dout(Shape({3, 0})), dbias(Shape({0}));
+    const KernelStats s = biasBackward(dout, dbias);
+    EXPECT_EQ(s.flops, 0);
+    EXPECT_EQ(s.bytesRead + s.bytesWritten, 0);
+}
+
 } // namespace
 } // namespace bertprof

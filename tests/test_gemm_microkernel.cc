@@ -229,7 +229,7 @@ variantName(const ::testing::TestParamInfo<GemmVariant> &info)
 void
 skipUnlessSupported(const GemmVariant &v)
 {
-    if (!v.hostSupports())
+    if (!isaSupported(v.isa))
         GTEST_SKIP() << v.name << " is not supported on this host";
 }
 
@@ -378,16 +378,19 @@ TEST(GemmVariants, SelectedIsWidestSupportedAndPublicPathRunsIt)
     const auto variants = gemmVariants();
     ASSERT_FALSE(variants.empty());
     EXPECT_STREQ(variants[0].name, "baseline");
-    EXPECT_TRUE(variants[0].hostSupports());
+    EXPECT_TRUE(isaSupported(variants[0].isa));
     const GemmVariant *widest = &variants[0];
     for (const GemmVariant &v : variants) {
         EXPECT_EQ(kGemmMC % v.mr, 0) << v.name;
         EXPECT_EQ(kGemmNC % v.nr, 0) << v.name;
-        if (v.hostSupports())
+        if (isaSupported(v.isa))
             widest = &v;
     }
+    for (std::size_t i = 0; i < variants.size(); ++i)
+        EXPECT_EQ(static_cast<std::size_t>(variants[i].isa), i);
     const GemmVariant &selected = selectedGemmVariant();
     EXPECT_EQ(&selected, widest);
+    EXPECT_EQ(selected.isa, selectedIsa()); // the one shared choice
     EXPECT_EQ(kGemmMR, selected.mr);
     EXPECT_EQ(kGemmNR, selected.nr);
 

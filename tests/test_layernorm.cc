@@ -138,5 +138,45 @@ TEST(LayerNorm, InputGradientSumsToZeroPerRow)
     }
 }
 
+TEST(LayerNorm, ZeroWidthRowsForwardIsNoOp)
+{
+    Tensor in(Shape({3, 0})), gamma(Shape({0})), beta(Shape({0}));
+    Tensor out(Shape({3, 0})), mean(Shape({3})), rstd(Shape({3}));
+    mean.fill(7.0f);
+    const KernelStats s =
+        layerNormForward(in, gamma, beta, out, mean, rstd);
+    EXPECT_EQ(s.flops, 0);
+    EXPECT_EQ(s.bytesRead + s.bytesWritten, 0);
+    EXPECT_EQ(mean.at(0), 7.0f); // untouched: an empty row has no mean
+}
+
+TEST(LayerNorm, ZeroWidthRowsBackwardIsNoOp)
+{
+    Tensor in(Shape({3, 0})), gamma(Shape({0}));
+    Tensor mean(Shape({3})), rstd(Shape({3}));
+    Tensor dout(Shape({3, 0})), din(Shape({3, 0}));
+    Tensor dgamma(Shape({0})), dbeta(Shape({0}));
+    const KernelStats s = layerNormBackward(in, gamma, mean, rstd, dout,
+                                            din, dgamma, dbeta);
+    EXPECT_EQ(s.flops, 0);
+    EXPECT_EQ(s.bytesRead + s.bytesWritten, 0);
+}
+
+TEST(LayerNorm, ZeroRowsBackwardZeroesParameterGrads)
+{
+    Tensor in(Shape({0, 4})), gamma(Shape({4}));
+    gamma.fill(1.0f);
+    Tensor mean(Shape({0})), rstd(Shape({0}));
+    Tensor dout(Shape({0, 4})), din(Shape({0, 4}));
+    Tensor dgamma(Shape({4})), dbeta(Shape({4}));
+    dgamma.fill(3.0f);
+    dbeta.fill(3.0f);
+    layerNormBackward(in, gamma, mean, rstd, dout, din, dgamma, dbeta);
+    for (std::int64_t c = 0; c < 4; ++c) {
+        EXPECT_EQ(dgamma.at(c), 0.0f);
+        EXPECT_EQ(dbeta.at(c), 0.0f);
+    }
+}
+
 } // namespace
 } // namespace bertprof

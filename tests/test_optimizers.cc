@@ -131,6 +131,50 @@ TEST(Lamb, TrustRatioIsWeightNormOverUpdateNorm)
     EXPECT_NEAR(trust, 5.0 / std::sqrt(2.0), 0.1);
 }
 
+TEST(Lamb, MatchesDoubleReferenceWithinBudget)
+{
+    // The one-pass float update against the textbook LAMB in double
+    // (DESIGN.md §8 error budgets): 3 steps on a parameter spanning
+    // three chunks of the runtime's grid, weight decay on.
+    constexpr std::int64_t kN = 20000;
+    Rng rng(11);
+    Parameter p("w", Shape({kN}));
+    p.value.fillNormal(rng);
+    OptimizerConfig config;
+    config.learningRate = 1e-2f;
+    Lamb lamb(config);
+    std::vector<double> w(kN), m(kN, 0.0), v(kN, 0.0), u(kN);
+    for (std::int64_t i = 0; i < kN; ++i)
+        w[static_cast<std::size_t>(i)] = p.value.at(i);
+    double trust = 1.0;
+    for (int step = 1; step <= 3; ++step) {
+        p.grad.fillNormal(rng);
+        lamb.step({&p});
+        const double bc1 = 1.0 - std::pow(config.beta1, step);
+        const double bc2 = 1.0 - std::pow(config.beta2, step);
+        double w_sq = 0.0, u_sq = 0.0;
+        for (std::size_t i = 0; i < w.size(); ++i) {
+            const double g = p.grad.at(static_cast<std::int64_t>(i));
+            m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g;
+            v[i] = config.beta2 * v[i] + (1.0 - config.beta2) * g * g;
+            u[i] = (m[i] / bc1) / (std::sqrt(v[i] / bc2) + config.epsilon) +
+                   config.weightDecay * w[i];
+            w_sq += w[i] * w[i];
+            u_sq += u[i] * u[i];
+        }
+        trust = std::sqrt(w_sq) / std::sqrt(u_sq);
+        for (std::size_t i = 0; i < w.size(); ++i)
+            w[i] -= config.learningRate * trust * u[i];
+    }
+    EXPECT_NEAR(lamb.lastTrustRatio(&p), trust, 1e-5 * trust);
+    double max_err = 0.0;
+    for (std::int64_t i = 0; i < kN; ++i)
+        max_err = std::max(
+            max_err,
+            std::fabs(p.value.at(i) - w[static_cast<std::size_t>(i)]));
+    EXPECT_LE(max_err, 1e-6);
+}
+
 TEST(Lamb, StepMovesAgainstGradient)
 {
     Parameter p = makeParam("w", {1.0f, -1.0f}, {0.5f, -0.5f});

@@ -246,17 +246,46 @@ TEST_F(ParallelDeterminism, AdamUpdatesBitwiseAcrossThreadCounts)
 
 TEST_F(ParallelDeterminism, LambParallelCountsAgreeWithEachOther)
 {
-    // LAMB's trust-ratio norms reduce across the whole parameter.
-    // The ordered chunk merge guarantees identical bits for every
-    // *parallel* thread count (the chunk grid is thread-count
-    // independent); the 1-thread path is the pre-runtime sequential
-    // accumulation, which the contract intentionally preserves
-    // instead.
+    // LAMB's trust-ratio norms reduce across the whole parameter, as
+    // per-chunk partials on the thread-count-independent chunk grid
+    // merged in chunk order.
     setNumThreads(2);
     const Tensor w2 = runOptimizer<Lamb>(4, 50000);
     setNumThreads(8);
     const Tensor w8 = runOptimizer<Lamb>(4, 50000);
     EXPECT_TRUE(bitsEqual(w2, w8));
+}
+
+TEST_F(ParallelDeterminism, LambAllThreadCountsAgree)
+{
+    // One thread walks the same chunk grid and merges the same
+    // partials in the same order, so it matches too. 50000 elements
+    // is 7 chunks of 8192 (the last ragged). The trust ratio is
+    // compared as a double: the float step size would round away a
+    // difference in how the norms were associated.
+    const auto run = [](int threads, double &trust) {
+        setNumThreads(threads);
+        Parameter p("p", Shape({50000}));
+        Rng rng(777);
+        p.value.fillNormal(rng);
+        OptimizerConfig config;
+        config.learningRate = 1e-2f;
+        Lamb lamb(config);
+        for (int s = 0; s < 4; ++s) {
+            p.grad.fillNormal(rng);
+            lamb.step({&p});
+        }
+        trust = lamb.lastTrustRatio(&p);
+        return p.value.clone();
+    };
+    double t1 = 0.0, t2 = 0.0, t8 = 0.0;
+    const Tensor w1 = run(1, t1);
+    const Tensor w2 = run(2, t2);
+    const Tensor w8 = run(8, t8);
+    EXPECT_TRUE(bitsEqual(w1, w2));
+    EXPECT_TRUE(bitsEqual(w1, w8));
+    EXPECT_EQ(std::memcmp(&t1, &t2, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&t1, &t8, sizeof(double)), 0);
 }
 
 } // namespace

@@ -108,11 +108,13 @@ TEST(ThreadPool, EmptyAndNegativeRangesAreNoOps)
                   [&](std::int64_t, std::int64_t, std::int64_t,
                       // bplint: allow(parallel-capture-race)
                       std::int64_t) { ++calls; });
+    parallelForChunks(3, 3, 8,
+                      [&](std::int64_t, std::int64_t, std::int64_t) {
+                          // bplint: allow(parallel-capture-race)
+                          ++calls;
+                      });
     EXPECT_EQ(calls, 0);
-    EXPECT_EQ(parallelReduceOrdered(
-                  3, 3, 8,
-                  [](std::int64_t, std::int64_t) { return 1.0; }),
-              0.0);
+    EXPECT_EQ(chunkCount(0, 8), 0);
 }
 
 TEST(ThreadPool, ExceptionPropagatesFromParallelBody)
@@ -204,11 +206,12 @@ TEST(ThreadPool, ParallelRunsUseMultipleThreadsWhenConfigured)
     EXPECT_LE(seen.size(), 4u);
 }
 
-TEST(ThreadPool, ReduceOrderedMatchesSerialSumExactly)
+TEST(ThreadPool, ChunkPartialsAgreeAtEveryThreadCount)
 {
     // Pseudo-random values whose flat sum depends on association
-    // order in general; the ordered merge must agree across thread
-    // counts because the chunk grid is thread-count independent.
+    // order in general; per-chunk partials merged in chunk order must
+    // agree at every thread count, 1 included, because the chunk grid
+    // is thread-count independent and one thread walks it too.
     constexpr std::int64_t kN = 300000;
     std::vector<double> values(kN);
     std::uint64_t state = 0x9e3779b97f4a7c15ULL;
@@ -216,18 +219,36 @@ TEST(ThreadPool, ReduceOrderedMatchesSerialSumExactly)
         state = state * 6364136223846793005ULL + 1442695040888963407ULL;
         value = static_cast<double>(state >> 11) * 0x1.0p-53 - 0.5;
     }
-    const auto chunk_sum = [&](std::int64_t lo, std::int64_t hi) {
-        double acc = 0.0;
-        for (std::int64_t i = lo; i < hi; ++i)
-            acc += values[static_cast<std::size_t>(i)];
-        return acc;
+    const auto ordered_sum = [&] {
+        const std::int64_t chunks = chunkCount(kN, 1024);
+        std::vector<double> partials(static_cast<std::size_t>(chunks));
+        std::vector<int> visits(static_cast<std::size_t>(chunks), 0);
+        parallelForChunks(
+            0, kN, 1024,
+            [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
+                double acc = 0.0;
+                for (std::int64_t i = lo; i < hi; ++i)
+                    acc += values[static_cast<std::size_t>(i)];
+                partials[static_cast<std::size_t>(c)] = acc;
+                ++visits[static_cast<std::size_t>(c)];
+            });
+        for (const int v : visits)
+            EXPECT_EQ(v, 1);
+        double total = 0.0;
+        for (const double p : partials)
+            total += p;
+        return total;
     };
+    EXPECT_EQ(chunkCount(kN, 1024), 256); // capped, grain grown
+    setNumThreads(1);
+    const double sum1 = ordered_sum();
     setNumThreads(2);
-    const double sum2 = parallelReduceOrdered(0, kN, 1024, chunk_sum);
+    const double sum2 = ordered_sum();
     setNumThreads(8);
-    const double sum8 = parallelReduceOrdered(0, kN, 1024, chunk_sum);
+    const double sum8 = ordered_sum();
     setNumThreads(0);
-    EXPECT_EQ(sum2, sum8); // bitwise: same chunk grid, same merge order
+    EXPECT_EQ(sum1, sum2); // bitwise: same chunk grid, same merge order
+    EXPECT_EQ(sum2, sum8);
 }
 
 } // namespace

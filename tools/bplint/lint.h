@@ -24,7 +24,8 @@
  *                         member call, pass-by-non-const-ref) to a
  *                         by-reference captured variable not
  *                         subscripted by a body-local index inside a
- *                         parallelFor/parallelFor2d body.
+ *                         parallelFor/parallelFor2d/parallelForChunks
+ *                         body.
  *   hot-loop-alloc        no Tensor construction or heap allocation
  *                         in parallelFor bodies or ScopedKernel
  *                         regions (src/): buffers are sized and

@@ -839,8 +839,9 @@ parseLambda(const std::string &s, std::size_t lb, LambdaInfo &out)
 void
 scanParallelRegions(const std::string &s, TuModel &tu)
 {
-    static const char *callees[] = {"parallelFor2d", "parallelFor"};
-    std::set<std::size_t> seen; // parallelFor is a prefix of ..2d
+    static const char *callees[] = {"parallelFor2d", "parallelForChunks",
+                                    "parallelFor"};
+    std::set<std::size_t> seen; // parallelFor is a prefix of the others
     for (const char *callee : callees) {
         const std::size_t len = std::string(callee).size();
         std::size_t pos = 0;

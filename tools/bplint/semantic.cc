@@ -13,7 +13,8 @@
  *                          member call, pass-by-non-const-ref) to a
  *                          by-reference-captured variable that is not
  *                          subscripted by a body-local index, inside
- *                          a parallelFor/parallelFor2d body.
+ *                          a parallelFor/parallelFor2d/
+ *                          parallelForChunks body.
  *   hot-loop-alloc         no Tensor construction or heap allocation
  *                          inside parallelFor bodies or ScopedKernel
  *                          regions — an allocation there runs once per
@@ -897,8 +898,8 @@ checkParallelCaptureRace(const ProjectModel &pm, const TuModel &tu,
                      region.callee +
                      " body but is captured by reference and not "
                      "subscripted by a body-local index — a data "
-                     "race; write through disjoint indices or use "
-                     "parallelReduceOrdered"});
+                     "race; write through disjoint indices or keep "
+                     "per-chunk partials with parallelForChunks"});
         }
     }
 }
