@@ -1,8 +1,9 @@
 /**
  * @file
  * Measured fused-vs-unfused encoder-layer performance on the CPU
- * substrate: eval forward, training forward+backward and closed-loop
- * serving throughput, each with the fused kernels on and off.
+ * substrate: eval forward and closed-loop serving throughput, each
+ * with the fused kernels on and off. The fused kernels are eval-only,
+ * so training runs the same kernels either way and has no row here.
  * Alongside each measured ratio the Fig. 12-style analytical
  * prediction is reported: the kernel-count and memory-traffic ratios
  * from the same runs' KernelStats (traffic ratio is
@@ -154,26 +155,6 @@ main(int argc, char **argv)
     eval_unfused.ms = eval_ms[0];
     eval_fused.ms = eval_ms[1];
 
-    // -- Training forward+backward --
-    layer.setTraining(true);
-    rt.dropoutP = 0.1f;
-    Tensor dout(x.shape());
-    dout.fillNormal(data);
-    auto train_step = [&]() {
-        (void)layer.forward(x, mask, batch, seq);
-        layer.zeroGrad();
-        (void)layer.backward(dout);
-    };
-    enter_unfused();
-    Measurement train_unfused = profileOnce(prof, train_step);
-    enter_fused();
-    Measurement train_fused = profileOnce(prof, train_step);
-    const std::vector<double> train_ms = medianInterleaved(
-        {{enter_unfused, train_step}, {enter_fused, train_step}}, reps);
-    train_unfused.ms = train_ms[0];
-    train_fused.ms = train_ms[1];
-    layer.setTraining(false);
-
     // -- Serving throughput (closed loop) --
     BertConfig config;
     config.name = "bench-fusion-serve";
@@ -217,8 +198,6 @@ main(int argc, char **argv)
     };
     row("eval unfused", eval_unfused, eval_unfused);
     row("eval fused", eval_fused, eval_unfused);
-    row("train unfused", train_unfused, train_unfused);
-    row("train fused", train_fused, train_unfused);
     std::printf("%s\n", table.render().c_str());
 
     std::printf(
@@ -262,15 +241,6 @@ main(int argc, char **argv)
             eval_unfused.bytes, eval_fused.bytes, traffic_ratio,
             static_cast<double>(eval_unfused.kernels) /
                 static_cast<double>(eval_fused.kernels));
-        std::fprintf(
-            f,
-            "  \"train\": {\"unfused_ms\": %.4f, \"fused_ms\": %.4f, "
-            "\"speedup\": %.3f, \"kernels_unfused\": %lld, "
-            "\"kernels_fused\": %lld},\n",
-            train_unfused.ms, train_fused.ms,
-            train_unfused.ms / train_fused.ms,
-            static_cast<long long>(train_unfused.kernels),
-            static_cast<long long>(train_fused.kernels));
         std::fprintf(
             f,
             "  \"serving\": {\"unfused_qps\": %.2f, \"fused_qps\": "

@@ -13,7 +13,8 @@
 # Env passthrough (defaults in parentheses):
 #   BERTPROF_NUM_THREADS (8)  pool width while testing
 #   BERTPROF_GEMM_IMPL (packed)  GEMM engine: packed | reference
-#   BERTPROF_FUSION (off)  fused kernels on the eager path: on | off
+#   BERTPROF_FUSION (off)  fused eval kernels on the eager path: on | off
+#     (training never runs fused kernels, so this sweeps eval only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -20,9 +20,10 @@
 #     sweep both so the sanitizer matrix covers the reference engine's
 #     row partition as well as the packed engine's thread-local
 #     packing buffers.
-#   BERTPROF_FUSION (off)  fused kernels on the eager path: on | off —
-#     sweep both so the matrix also covers the fused kernels'
-#     thread-local scratch rows and per-worker score blocks.
+#   BERTPROF_FUSION (off)  fused eval kernels on the eager path:
+#     on | off — sweep both so the matrix also covers the fused eval
+#     kernels' thread-local scratch rows and per-worker score blocks
+#     (training never runs fused kernels).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

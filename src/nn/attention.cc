@@ -52,45 +52,35 @@ MultiHeadAttention::forward(const Tensor &x, const Tensor &mask,
     seq_ = training ? seq : 0;
     const std::int64_t dh = dModel_ / numHeads_;
     const std::int64_t bh = batch * numHeads_;
-
-    const bool fused = fusionEnabled();
-    usedFusedQkv_ = fused && training;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    if (!training) {
+        // Eval forwards retain nothing; backward() must not follow.
+        q3d_ = Tensor();
+        k3d_ = Tensor();
+        v3d_ = Tensor();
+        probs_ = Tensor();
+        probsDropped_ = Tensor();
+        dropMask_ = Tensor();
+    }
 
     Tensor q3d(Shape({bh, seq, dh}));
     Tensor k3d(Shape({bh, seq, dh}));
     Tensor v3d(Shape({bh, seq, dh}));
-    if (fused) {
-        // Single packed GEMM over [Wq; Wk; Wv] with a fused bias +
-        // split-heads epilogue (Fig. 12b's QKV fusion, for real).
-        if (training)
-            xSaved_ = x.clone();
-        else
-            xSaved_ = Tensor();
-        ScopedKernel kern(rt_->profiler, "attn.qkv.fwd", OpKind::Gemm,
-                          Phase::Fwd, LayerScope::Transformer,
-                          SubLayer::AttnLinear);
-        kern.setStats(fusedQkvForward(
-            x, wq_.weight().value, wk_.weight().value, wv_.weight().value,
-            wq_.bias().value, wk_.bias().value, wv_.bias().value, batch,
-            seq, numHeads_, q3d, k3d, v3d));
-    } else {
-        xSaved_ = Tensor();
-        // Linear projections (the paper's "Linear" GEMMs).
-        Tensor q = wq_.forward(x);
-        Tensor k = wk_.forward(x);
-        Tensor v = wv_.forward(x);
-
-        // Rearrange into per-head batches for the B*h batched GEMM.
-        splitHeads(q, batch, seq, numHeads_, q3d);
-        splitHeads(k, batch, seq, numHeads_, k3d);
-        splitHeads(v, batch, seq, numHeads_, v3d);
-    }
-
-    if (fused && !training) {
-        // Eval-only fused attention: score -> softmax -> context per
-        // head group through a cache-resident [n, n] block; the
-        // [B*h, n, n] scores/probs tensors are never materialized.
-        const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    if (fusionEnabled() && !training) {
+        // Eval-only fusion. One packed GEMM over [Wq; Wk; Wv] with a
+        // fused bias + split-heads epilogue (Fig. 12b's QKV fusion),
+        // then score -> softmax -> context per head group through a
+        // cache-resident [n, n] block; the [B*h, n, n] scores/probs
+        // tensors are never materialized.
+        {
+            ScopedKernel kern(rt_->profiler, "attn.qkv.fwd", OpKind::Gemm,
+                              Phase::Fwd, LayerScope::Transformer,
+                              SubLayer::AttnLinear);
+            kern.setStats(fusedQkvForward(
+                x, wq_.weight().value, wk_.weight().value,
+                wv_.weight().value, wq_.bias().value, wk_.bias().value,
+                wv_.bias().value, batch, seq, numHeads_, q3d, k3d, v3d));
+        }
         Tensor context(Shape({bh, seq, dh}));
         {
             ScopedKernel kern(rt_->profiler, "attn.fused.fwd",
@@ -102,13 +92,18 @@ MultiHeadAttention::forward(const Tensor &x, const Tensor &mask,
         }
         Tensor merged(Shape({batch * seq, dModel_}));
         mergeHeads(context, batch, seq, numHeads_, merged);
-        q3d_ = Tensor();
-        k3d_ = Tensor();
-        v3d_ = Tensor();
-        probs_ = Tensor();
-        probsDropped_ = Tensor();
-        dropMask_ = Tensor();
         return wo_.forward(merged);
+    }
+
+    {
+        // Linear projections (the paper's "Linear" GEMMs), freed once
+        // rearranged into per-head batches for the B*h batched GEMM.
+        Tensor q = wq_.forward(x);
+        Tensor k = wk_.forward(x);
+        Tensor v = wv_.forward(x);
+        splitHeads(q, batch, seq, numHeads_, q3d);
+        splitHeads(k, batch, seq, numHeads_, k3d);
+        splitHeads(v, batch, seq, numHeads_, v3d);
     }
 
     // Attention scores: B*h GEMMs of n x n x d/h (Table 2b row 2).
@@ -122,7 +117,6 @@ MultiHeadAttention::forward(const Tensor &x, const Tensor &mask,
 
     // Scale, mask, softmax, dropout — each its own kernel, as in the
     // paper's Scale+Mask+DR+SM group.
-    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
     {
         ScopedKernel kern(rt_->profiler, "attn.scale", OpKind::Elementwise,
                           Phase::Fwd, LayerScope::Transformer,
@@ -180,13 +174,6 @@ MultiHeadAttention::forward(const Tensor &x, const Tensor &mask,
         k3d_ = std::move(k3d);
         v3d_ = std::move(v3d);
         probs_ = std::move(probs);
-    } else {
-        q3d_ = Tensor();
-        k3d_ = Tensor();
-        v3d_ = Tensor();
-        probs_ = Tensor();
-        probsDropped_ = Tensor();
-        dropMask_ = Tensor();
     }
 
     // Output projection (the fourth "Linear" GEMM).
@@ -270,35 +257,6 @@ MultiHeadAttention::backward(const Tensor &dout)
     mergeHeads(dq3d, batch_, seq_, numHeads_, dq);
     mergeHeads(dk3d, batch_, seq_, numHeads_, dk);
     mergeHeads(dv3d, batch_, seq_, numHeads_, dv);
-
-    if (usedFusedQkv_) {
-        // Single concatenated-weight backward: one k=3H dgrad GEMM
-        // and one wgrad GEMM over dqkv [T, 3H]; weight/bias grads are
-        // bitwise vs three Linear backwards, dx is tolerance-only.
-        Tensor dwq(wq_.weight().value.shape());
-        Tensor dwk(wk_.weight().value.shape());
-        Tensor dwv(wv_.weight().value.shape());
-        Tensor dbq(wq_.bias().value.shape());
-        Tensor dbk(wk_.bias().value.shape());
-        Tensor dbv(wv_.bias().value.shape());
-        Tensor dx(xSaved_.shape());
-        {
-            ScopedKernel kern(rt_->profiler, "attn.qkv.bwd", OpKind::Gemm,
-                              Phase::Bwd, LayerScope::Transformer,
-                              SubLayer::AttnLinear);
-            kern.setStats(fusedQkvBackward(
-                dq, dk, dv, xSaved_, wq_.weight().value,
-                wk_.weight().value, wv_.weight().value, dwq, dwk, dwv,
-                dbq, dbk, dbv, dx));
-        }
-        accumulate(wq_.weight().grad, dwq);
-        accumulate(wk_.weight().grad, dwk);
-        accumulate(wv_.weight().grad, dwv);
-        accumulate(wq_.bias().grad, dbq);
-        accumulate(wk_.bias().grad, dbk);
-        accumulate(wv_.bias().grad, dbv);
-        return dx;
-    }
 
     Tensor dx = wq_.backward(dq);
     accumulate(dx, wk_.backward(dk));

@@ -66,12 +66,6 @@ class MultiHeadAttention : public Module
     Tensor probs_;             ///< post-softmax scores [B*h, n, n]
     Tensor dropMask_;          ///< dropout mask on probs
     Tensor probsDropped_;      ///< probs after dropout
-
-    // Fused-QKV training state: the projection input, kept so
-    // backward can run the single concatenated-weight GEMM pair
-    // instead of three Linear backwards.
-    Tensor xSaved_;
-    bool usedFusedQkv_ = false;
 };
 
 } // namespace bertprof

@@ -41,7 +41,13 @@ EncoderLayer::forward(const Tensor &x, const Tensor &mask,
         attnDropMask_ = Tensor();
         ffDropMask_ = Tensor();
     }
-    const bool fused = fusionEnabled();
+    if (fusionEnabled() && !training) {
+        // Eval-only fusion: the block dropouts are identities, so each
+        // residual add folds into its LayerNorm as one kernel.
+        Tensor normed =
+            ln1_.forwardFusedResidual(attn_.forward(x, mask, batch, seq), x);
+        return ln2_.forwardFusedResidual(ff_.forward(normed), normed);
+    }
 
     // Attention sub-layer + DR + RC + LN. Eval mode: the block
     // dropouts are exact identities (no RNG draw, no mask alloc), so
@@ -60,9 +66,8 @@ EncoderLayer::forward(const Tensor &x, const Tensor &mask,
         residual_in = &dropped;
     }
     Tensor normed;
-    if (fused) {
-        normed = ln1_.forwardFusedResidual(*residual_in, x);
-    } else {
+    {
+        // The residual sum is freed before the feed-forward runs.
         Tensor residual(attn_out.shape());
         {
             ScopedKernel k(rt_->profiler, "attn.block.residual",
@@ -87,8 +92,6 @@ EncoderLayer::forward(const Tensor &x, const Tensor &mask,
                                   ff_dropped, ffDropMask_));
         ff_residual_in = &ff_dropped;
     }
-    if (fused)
-        return ln2_.forwardFusedResidual(*ff_residual_in, normed);
     Tensor ff_residual(ff_out.shape());
     {
         ScopedKernel k(rt_->profiler, "ff.block.residual",

@@ -27,40 +27,26 @@ FeedForward::initialize(Rng &rng, float stddev)
 Tensor
 FeedForward::forward(const Tensor &x)
 {
-    const bool training = isTraining();
-    if (fusionEnabled()) {
-        // FC1 GEMM without its bias epilogue; the bias rides along in
-        // the fused bias+GeLU kernel (bitwise vs the unfused pair).
+    if (fusionEnabled() && !isTraining()) {
+        // Eval-only fusion: FC1 GEMM without its bias epilogue; the
+        // bias rides along in the fused bias+GeLU kernel (bitwise vs
+        // the unfused pair).
+        savedPreGelu_ = Tensor();
+        hasSaved_ = false;
         Tensor pre_gemm = fc1_.forwardGemm(x);
         Tensor activated(pre_gemm.shape());
-        if (training) {
-            // Backward needs the post-bias pre-activation; the fused
-            // kernel materializes it alongside the activation.
-            savedPreGelu_ = Tensor(pre_gemm.shape());
-            hasSaved_ = true;
-        } else {
-            savedPreGelu_ = Tensor();
-            hasSaved_ = false;
-        }
         {
             ScopedKernel k(rt_->profiler, "bias_gelu.fwd",
                            OpKind::Elementwise, Phase::Fwd,
                            LayerScope::Transformer, SubLayer::FcGelu);
-            if (training) {
-                k.setStats(fusedBiasGeluForwardWithPre(
-                    pre_gemm, fc1_.bias().value, savedPreGelu_,
-                    activated));
-            } else {
-                k.setStats(fusedBiasGeluForward(pre_gemm,
-                                                fc1_.bias().value,
-                                                activated));
-            }
+            k.setStats(fusedBiasGeluForward(pre_gemm, fc1_.bias().value,
+                                            activated));
         }
         return fc2_.forward(activated);
     }
 
     Tensor pre = fc1_.forward(x);
-    if (training) {
+    if (isTraining()) {
         savedPreGelu_ = pre.clone();
         hasSaved_ = true;
     } else {

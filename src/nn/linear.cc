@@ -24,9 +24,19 @@ Linear::initialize(Rng &rng, float stddev)
 }
 
 Tensor
-Linear::forward(const Tensor &x)
+Linear::projectGemm(const Tensor &x)
 {
     BP_REQUIRE(x.shape().rank() == 2 && x.shape().dim(1) == inDim_);
+    Tensor y(Shape({x.shape().dim(0), outDim_}));
+    ScopedKernel k(rt_->profiler, weight_.name + ".fwd", OpKind::Gemm,
+                   Phase::Fwd, scope_, sub_);
+    k.setStats(gemm(x, weight_.value, y, false, true));
+    return y;
+}
+
+Tensor
+Linear::forward(const Tensor &x)
+{
     if (isTraining()) {
         savedInput_ = x.clone();
         hasSavedInput_ = true;
@@ -36,12 +46,7 @@ Linear::forward(const Tensor &x)
         hasSavedInput_ = false;
     }
 
-    Tensor y(Shape({x.shape().dim(0), outDim_}));
-    {
-        ScopedKernel k(rt_->profiler, weight_.name + ".fwd", OpKind::Gemm,
-                       Phase::Fwd, scope_, sub_);
-        k.setStats(gemm(x, weight_.value, y, false, true));
-    }
+    Tensor y = projectGemm(x);
     {
         ScopedKernel k(rt_->profiler, bias_.name + ".fwd",
                        OpKind::Elementwise, Phase::Fwd, scope_, sub_);
@@ -53,21 +58,10 @@ Linear::forward(const Tensor &x)
 Tensor
 Linear::forwardGemm(const Tensor &x)
 {
-    BP_REQUIRE(x.shape().rank() == 2 && x.shape().dim(1) == inDim_);
-    if (isTraining()) {
-        savedInput_ = x.clone();
-        hasSavedInput_ = true;
-    } else {
-        savedInput_ = Tensor();
-        hasSavedInput_ = false;
-    }
-    Tensor y(Shape({x.shape().dim(0), outDim_}));
-    {
-        ScopedKernel k(rt_->profiler, weight_.name + ".fwd", OpKind::Gemm,
-                       Phase::Fwd, scope_, sub_);
-        k.setStats(gemm(x, weight_.value, y, false, true));
-    }
-    return y;
+    BP_REQUIRE(!isTraining());
+    savedInput_ = Tensor();
+    hasSavedInput_ = false;
+    return projectGemm(x);
 }
 
 Tensor

@@ -35,11 +35,8 @@ class Linear : public Module
     Tensor forward(const Tensor &x);
 
     /**
-     * GEMM-only forward: y = x W^T without the bias epilogue, for
-     * callers that fuse the bias into the next kernel (FC1's fused
-     * bias+GeLU). Saves the input for backward exactly as forward()
-     * does; backward() stays valid because the bias gradient is read
-     * off dout, which is the same tensor either way.
+     * Eval-only GEMM forward: y = x W^T without the bias epilogue, for
+     * FC1's fused bias+GeLU. Retains nothing, like an eval forward().
      */
     Tensor forwardGemm(const Tensor &x);
 
@@ -62,6 +59,9 @@ class Linear : public Module
     std::int64_t outDim() const { return outDim_; }
 
   private:
+    /** y = x W^T, the one profiled forward GEMM. */
+    Tensor projectGemm(const Tensor &x);
+
     std::int64_t inDim_;
     std::int64_t outDim_;
     NnRuntime *rt_;

@@ -2,37 +2,38 @@
  * @file
  * Fused CPU kernels for the paper's Sec. 6.1 software optimizations,
  * implemented for real (the analytical model in src/perf only
- * predicts their effect; bench_fig12a/b compare the two). The eager
- * nn modules call them when BERTPROF_FUSION=on, in training and eval:
+ * predicts their effect; bench_fig12a/b compare the two). They are
+ * eval-only: the eager nn modules call them from one
+ * `fusionEnabled() && !isTraining()` block each when
+ * BERTPROF_FUSION=on. Training always runs the unfused chain, whose
+ * kernels are also the parity oracle here (fused training measured no
+ * faster and moved more bytes; DESIGN.md §13).
  *
  *  - bias + GeLU          (the FC1 epilogue, one pass instead of two)
- *  - residual + LayerNorm (the DR+RC+LN tail, sum never materialized
- *                          unless training needs it for backward)
- *  - score->softmax->context attention (eval only: per head group,
- *                          a cache-resident [n, n] score block, no
+ *  - residual + LayerNorm (the DR+RC+LN tail, sum never materialized)
+ *  - score->softmax->context attention (per head group, a
+ *                          cache-resident [n, n] score block, no
  *                          [B*h, n, n] probs tensor)
  *  - packed QKV projection (one GEMM over a 3H-wide concatenated
  *                          weight: pack(A) amortized across Q, K, V)
  *
- * Parity contract versus the unfused kernel chain (the oracle):
+ * Parity contract versus the unfused kernel chain:
  *
- *  - fusedBiasGeluForward:        bitwise (same per-element floats in
- *                                 the same order as bias then GeLU).
- *  - fusedResidualLayerNorm*:     bitwise (the residual sum is the
- *                                 same float the unfused addForward
- *                                 writes; LN row math is identical).
- *  - fusedQkvForward:             bitwise per GEMM engine (each output
- *                                 element's accumulation order depends
- *                                 only on k and the K-blocking, which
- *                                 a 3x wider N does not change).
- *  - fusedQkvBackward:            wgrad and bias grads bitwise (same
- *                                 per-element reduction order); dgrad
- *                                 tolerance-only (one k=3H GEMM
- *                                 replaces three k=H GEMMs + adds, a
- *                                 different accumulation association).
- *  - fusedAttentionEvalForward:   tolerance-only (the score scale
- *                                 folds into the q k^T GEMM's alpha
- *                                 instead of a separate scale pass).
+ *  - fusedBiasGeluForward:          bitwise (same per-element floats
+ *                                   in the same order as bias then
+ *                                   GeLU; one GeLU row kernel).
+ *  - fusedResidualLayerNormForward: bitwise (the residual sum is the
+ *                                   same float the unfused addForward
+ *                                   writes; both call layerNormRow).
+ *  - fusedQkvForward:               bitwise per GEMM engine (each
+ *                                   output element's accumulation
+ *                                   order depends only on k and the
+ *                                   K-blocking, which a 3x wider N
+ *                                   does not change).
+ *  - fusedAttentionEvalForward:     tolerance-only (the score scale
+ *                                   folds into the q k^T GEMM's alpha
+ *                                   instead of a separate scale pass;
+ *                                   the rows then run softmaxRow).
  *
  * Every kernel reports KernelStats with flops summed from the
  * constituent unfused ops and bytes counted at the *fused* traffic,
@@ -57,34 +58,16 @@ KernelStats fusedBiasGeluForward(const Tensor &in, const Tensor &bias,
                                  Tensor &out);
 
 /**
- * Training variant: also materializes pre = in + bias (the tensor the
- * unfused path hands to geluBackward). `pre` must be disjoint from
- * `out`.
- */
-KernelStats fusedBiasGeluForwardWithPre(const Tensor &in,
-                                        const Tensor &bias, Tensor &pre,
-                                        Tensor &out);
-
-/**
  * out = LayerNorm(a + b) in one pass; the residual sum lives in a
  * per-thread row buffer and is never written to memory. Bitwise
- * identical to addForward followed by layerNormForward. mean/rstd are
- * per-row [rows] outputs (layerNormBackward needs them).
+ * identical to addForward followed by layerNormForward, including the
+ * per-row [rows] mean/rstd outputs.
  */
 KernelStats fusedResidualLayerNormForward(const Tensor &a, const Tensor &b,
                                           const Tensor &gamma,
                                           const Tensor &beta, Tensor &out,
                                           Tensor &mean, Tensor &rstd,
                                           float eps = 1e-5f);
-
-/**
- * Training variant: also materializes sum = a + b (the LN input the
- * unfused path saves for layerNormBackward).
- */
-KernelStats fusedResidualLayerNormForwardWithSum(
-    const Tensor &a, const Tensor &b, const Tensor &gamma,
-    const Tensor &beta, Tensor &sum, Tensor &out, Tensor &mean,
-    Tensor &rstd, float eps = 1e-5f);
 
 /**
  * Fused Q/K/V projection: one [T, H] x [H, 3H] GEMM over the row-wise
@@ -99,20 +82,6 @@ KernelStats fusedQkvForward(const Tensor &x, const Tensor &wq,
                             const Tensor &bv, std::int64_t batch,
                             std::int64_t seq, std::int64_t heads,
                             Tensor &q3d, Tensor &k3d, Tensor &v3d);
-
-/**
- * Backward of fusedQkvForward. dq/dk/dv are the merged-head [T, H]
- * projection-output grads; x is the saved forward input. Produces
- * fresh (non-accumulated) weight/bias grads and dx. The weight and
- * bias grads are bitwise identical to three separate backwards; dx is
- * tolerance-only (single k=3H GEMM versus three k=H GEMMs + adds).
- */
-KernelStats fusedQkvBackward(const Tensor &dq, const Tensor &dk,
-                             const Tensor &dv, const Tensor &x,
-                             const Tensor &wq, const Tensor &wk,
-                             const Tensor &wv, Tensor &dwq, Tensor &dwk,
-                             Tensor &dwv, Tensor &dbq, Tensor &dbk,
-                             Tensor &dbv, Tensor &dx);
 
 /**
  * Eval-only fused attention: per head-group, a packed-microkernel

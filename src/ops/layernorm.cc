@@ -8,6 +8,28 @@
 
 namespace bertprof {
 
+void
+layerNormRow(const float *x, const float *gamma, const float *beta,
+             std::int64_t cols, float eps, float *y, float *mean,
+             float *rstd)
+{
+    double mu = 0.0;
+    for (std::int64_t c = 0; c < cols; ++c)
+        mu += x[c];
+    mu /= static_cast<double>(cols);
+    double var = 0.0;
+    for (std::int64_t c = 0; c < cols; ++c) {
+        const double d = x[c] - mu;
+        var += d * d;
+    }
+    var /= static_cast<double>(cols);
+    const double rs = 1.0 / std::sqrt(var + eps);
+    *mean = static_cast<float>(mu);
+    *rstd = static_cast<float>(rs);
+    for (std::int64_t c = 0; c < cols; ++c)
+        y[c] = static_cast<float>((x[c] - mu) * rs) * gamma[c] + beta[c];
+}
+
 KernelStats
 layerNormForward(const Tensor &in, const Tensor &gamma, const Tensor &beta,
                  Tensor &out, Tensor &mean, Tensor &rstd, float eps)
@@ -36,28 +58,10 @@ layerNormForward(const Tensor &in, const Tensor &gamma, const Tensor &beta,
     // bitwise identical to the serial loop.
     parallelFor(0, rows, rowGrain(cols), [&](std::int64_t r_lo,
                                              std::int64_t r_hi) {
-        for (std::int64_t r = r_lo; r < r_hi; ++r) {
-            const float *x = in.data() + r * cols;
-            float *y = out.data() + r * cols;
-            double mu = 0.0;
-            for (std::int64_t c = 0; c < cols; ++c)
-                mu += x[c];
-            mu /= static_cast<double>(cols);
-            double var = 0.0;
-            for (std::int64_t c = 0; c < cols; ++c) {
-                const double d = x[c] - mu;
-                var += d * d;
-            }
-            var /= static_cast<double>(cols);
-            const double rs = 1.0 / std::sqrt(var + eps);
-            mean.data()[r] = static_cast<float>(mu);
-            rstd.data()[r] = static_cast<float>(rs);
-            for (std::int64_t c = 0; c < cols; ++c) {
-                y[c] = static_cast<float>((x[c] - mu) * rs) *
-                           gamma.data()[c] +
-                       beta.data()[c];
-            }
-        }
+        for (std::int64_t r = r_lo; r < r_hi; ++r)
+            layerNormRow(in.data() + r * cols, gamma.data(), beta.data(),
+                         cols, eps, out.data() + r * cols,
+                         mean.data() + r, rstd.data() + r);
     });
     KernelStats s = elementwiseStats(in.numel(), 1, 1, 6,
                                      dtypeBytes(in.dtype()));

@@ -15,6 +15,17 @@
 namespace bertprof {
 
 /**
+ * Normalize one row of `cols` floats: double mean and variance, then
+ * y = float((x - mean) * rstd) * gamma + beta. Writes the row's mean
+ * and rstd through `mean`/`rstd`. The one description of the LN row
+ * math: layerNormForward and the fused residual+LN kernel both call
+ * it, so they agree bitwise by construction. `y` may alias `x`.
+ */
+void layerNormRow(const float *x, const float *gamma, const float *beta,
+                  std::int64_t cols, float eps, float *y, float *mean,
+                  float *rstd);
+
+/**
  * Forward: out = (in - mean) / sqrt(var + eps) * gamma + beta over
  * the last dim. Saves per-row mean and reciprocal stddev into the
  * provided [rows] tensors for the backward pass.

@@ -1,5 +1,6 @@
 #include "ops/softmax.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "runtime/parallel_for.h"
@@ -7,6 +8,22 @@
 #include "util/logging.h"
 
 namespace bertprof {
+
+void
+softmaxRow(const float *x, float *y, std::int64_t cols)
+{
+    float mx = x[0];
+    for (std::int64_t c = 1; c < cols; ++c)
+        mx = std::max(mx, x[c]);
+    double denom = 0.0;
+    for (std::int64_t c = 0; c < cols; ++c) {
+        y[c] = std::exp(x[c] - mx);
+        denom += y[c];
+    }
+    const float inv = static_cast<float>(1.0 / denom);
+    for (std::int64_t c = 0; c < cols; ++c)
+        y[c] *= inv;
+}
 
 KernelStats
 softmaxForward(const Tensor &in, Tensor &out)
@@ -22,21 +39,8 @@ softmaxForward(const Tensor &in, Tensor &out)
     // loop for any thread count.
     parallelFor(0, rows, rowGrain(cols), [&](std::int64_t r_lo,
                                              std::int64_t r_hi) {
-        for (std::int64_t r = r_lo; r < r_hi; ++r) {
-            const float *x = in.data() + r * cols;
-            float *y = out.data() + r * cols;
-            float mx = x[0];
-            for (std::int64_t c = 1; c < cols; ++c)
-                mx = std::max(mx, x[c]);
-            double denom = 0.0;
-            for (std::int64_t c = 0; c < cols; ++c) {
-                y[c] = std::exp(x[c] - mx);
-                denom += y[c];
-            }
-            const float inv = static_cast<float>(1.0 / denom);
-            for (std::int64_t c = 0; c < cols; ++c)
-                y[c] *= inv;
-        }
+        for (std::int64_t r = r_lo; r < r_hi; ++r)
+            softmaxRow(in.data() + r * cols, out.data() + r * cols, cols);
     });
     // max + exp + sum + div: ~4 passes of arithmetic per element.
     return elementwiseStats(in.numel(), 1, 1, 4, dtypeBytes(in.dtype()));

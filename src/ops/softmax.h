@@ -14,6 +14,15 @@
 namespace bertprof {
 
 /**
+ * Softmax of one row of `cols` floats (cols >= 1): float max, exp,
+ * double-accumulated denominator, multiply by the float inverse. The
+ * one description of the softmax row math: softmaxForward and the
+ * fused eval attention both call it, so they agree bitwise on equal
+ * inputs by construction. `y` may alias `x`.
+ */
+void softmaxRow(const float *x, float *y, std::int64_t cols);
+
+/**
  * Row-wise softmax over the last dimension of `in` (any rank >= 1;
  * leading dims are flattened into rows).
  */

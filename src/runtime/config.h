@@ -65,13 +65,15 @@ void setGemmImpl(GemmImpl impl);
  * environment. */
 void clearGemmImplOverride();
 
-/** Whether the fused kernels are in effect. */
+/** Whether the fused kernels are in effect in eval forwards. Training
+ * forwards and backwards run the unfused chain in either mode, so
+ * training bits never depend on this. */
 enum class FusionMode {
-    /** Per-op kernel schedule, exactly the pre-fusion code path — the
-     * parity oracle. The default. */
+    /** Per-op kernel schedule everywhere — the parity oracle. The
+     * default. */
     Off,
-    /** Fused kernels (bias+GeLU, residual+LN, one-pass attention,
-     * packed QKV) on the same eager path. */
+    /** Eval forwards run the fused kernels (bias+GeLU, residual+LN,
+     * one-pass attention, packed QKV) on the same eager path. */
     On,
 };
 
@@ -84,7 +86,8 @@ const char *fusionModeName(FusionMode mode);
  */
 FusionMode configuredFusionMode();
 
-/** True when configuredFusionMode() == FusionMode::On. */
+/** True when configuredFusionMode() == FusionMode::On; the nn modules
+ * act on it only in eval mode. */
 bool fusionEnabled();
 
 /** Override the fusion mode programmatically (tests and benches

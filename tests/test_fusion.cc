@@ -1,9 +1,10 @@
 /**
- * Fused-kernel parity suite: every fused kernel against its unfused
- * oracle chain at 1 and 8 threads, training forward/backward parity
- * through EncoderLayer, eval logits parity through BertClassifier, and
- * serve end-to-end parity. The parity class per kernel (bitwise versus
- * tolerance) is the contract documented in ops/fused.h.
+ * Fused-kernel parity suite: every (eval-only) fused kernel against
+ * its unfused oracle chain at 1 and 8 threads, training through
+ * EncoderLayer bitwise independent of the fusion knob, eval logits
+ * parity through BertClassifier, and serve end-to-end parity. The
+ * parity class per kernel (bitwise versus tolerance) is the contract
+ * documented in ops/fused.h.
  */
 
 #include <algorithm>
@@ -76,12 +77,6 @@ TEST(FusedKernels, BiasGeluBitwiseMatchesUnfused)
         Tensor out(in.shape());
         fusedBiasGeluForward(in, bias, out);
         EXPECT_TRUE(bitwiseEqual(out, out_ref)) << threads << " threads";
-
-        Tensor pre(in.shape());
-        Tensor out2(in.shape());
-        fusedBiasGeluForwardWithPre(in, bias, pre, out2);
-        EXPECT_TRUE(bitwiseEqual(pre, pre_ref)) << threads << " threads";
-        EXPECT_TRUE(bitwiseEqual(out2, out_ref)) << threads << " threads";
     }
 }
 
@@ -115,13 +110,6 @@ TEST(FusedKernels, ResidualLayerNormBitwiseMatchesUnfused)
         EXPECT_TRUE(bitwiseEqual(out, out_ref)) << threads << " threads";
         EXPECT_TRUE(bitwiseEqual(mean, mean_ref));
         EXPECT_TRUE(bitwiseEqual(rstd, rstd_ref));
-
-        Tensor sum(a.shape());
-        Tensor out2(a.shape());
-        fusedResidualLayerNormForwardWithSum(a, b, gamma, beta, sum, out2,
-                                             mean, rstd);
-        EXPECT_TRUE(bitwiseEqual(sum, sum_ref)) << threads << " threads";
-        EXPECT_TRUE(bitwiseEqual(out2, out_ref));
     }
 }
 
@@ -167,61 +155,6 @@ TEST(FusedKernels, QkvForwardBitwiseMatchesUnfusedOnBothEngines)
             EXPECT_TRUE(bitwiseEqual(v3d, ref[2]))
                 << gemmImplName(impl) << " " << threads << " threads";
         }
-    }
-}
-
-TEST(FusedKernels, QkvBackwardWgradBitwiseDgradClose)
-{
-    KnobGuard guard;
-    const std::int64_t rows = 24, d_model = 32;
-    Rng rng(14);
-    Tensor x(Shape({rows, d_model}));
-    x.fillNormal(rng);
-    Tensor d[3] = {Tensor(Shape({rows, d_model})),
-                   Tensor(Shape({rows, d_model})),
-                   Tensor(Shape({rows, d_model}))};
-    Tensor w[3] = {Tensor(Shape({d_model, d_model})),
-                   Tensor(Shape({d_model, d_model})),
-                   Tensor(Shape({d_model, d_model}))};
-    for (int i = 0; i < 3; ++i) {
-        d[i].fillNormal(rng);
-        w[i].fillNormal(rng);
-    }
-
-    for (int threads : kThreadSweep) {
-        setNumThreads(threads);
-        // Oracle: exactly what three Linear::backward calls run.
-        Tensor dw_ref[3], db_ref[3];
-        Tensor dx_ref(x.shape());
-        dx_ref.fill(0.0f);
-        for (int i = 0; i < 3; ++i) {
-            dw_ref[i] = Tensor(Shape({d_model, d_model}));
-            db_ref[i] = Tensor(Shape({d_model}));
-            gemm(d[i], x, dw_ref[i], true, false);
-            biasBackward(d[i], db_ref[i]);
-            Tensor dxi(x.shape());
-            gemm(d[i], w[i], dxi, false, false);
-            accumulate(dx_ref, dxi);
-        }
-
-        Tensor dw[3] = {Tensor(Shape({d_model, d_model})),
-                        Tensor(Shape({d_model, d_model})),
-                        Tensor(Shape({d_model, d_model}))};
-        Tensor db[3] = {Tensor(Shape({d_model})), Tensor(Shape({d_model})),
-                        Tensor(Shape({d_model}))};
-        Tensor dx(x.shape());
-        fusedQkvBackward(d[0], d[1], d[2], x, w[0], w[1], w[2], dw[0],
-                         dw[1], dw[2], db[0], db[1], db[2], dx);
-
-        for (int i = 0; i < 3; ++i) {
-            EXPECT_TRUE(bitwiseEqual(dw[i], dw_ref[i]))
-                << "proj " << i << " at " << threads << " threads";
-            EXPECT_TRUE(bitwiseEqual(db[i], db_ref[i]))
-                << "proj " << i << " at " << threads << " threads";
-        }
-        // dx: one k=3H GEMM versus three k=H GEMMs + adds — same
-        // value, different association.
-        EXPECT_LT(maxAbsDiff(dx, dx_ref), 1e-4) << threads << " threads";
     }
 }
 
@@ -293,8 +226,11 @@ struct LayerPair {
     }
 };
 
-TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
+TEST(FusionTraining, ForwardGradsAndDxBitwiseIndependentOfFusion)
 {
+    // Fusion is eval-only: a training step runs exactly the unfused
+    // kernels whatever the knob says, so the output, every parameter
+    // grad and dx are bitwise equal.
     KnobGuard guard;
     for (int threads : kThreadSweep) {
         setNumThreads(threads);
@@ -308,7 +244,6 @@ TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
         Tensor y_ref = pair.a.forward(x, mask, 2, 16);
         setFusionMode(FusionMode::On);
         Tensor y = pair.b.forward(x, mask, 2, 16);
-        // Same dropout RNG stream, all forward fused kernels bitwise.
         EXPECT_TRUE(bitwiseEqual(y, y_ref)) << threads << " threads";
 
         Tensor dout(y.shape());
@@ -321,17 +256,29 @@ TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
         setFusionMode(FusionMode::On);
         Tensor dx = pair.b.backward(dout);
 
-        // All parameter grads are bitwise (fused QKV wgrad/bias share
-        // the oracle's accumulation order); dx crosses the fused QKV
-        // dgrad, which reassociates k, so it is tolerance-only.
         std::vector<Parameter *> pa = pair.a.parameters();
         std::vector<Parameter *> pb = pair.b.parameters();
         ASSERT_EQ(pa.size(), pb.size());
         for (std::size_t i = 0; i < pa.size(); ++i)
             EXPECT_TRUE(bitwiseEqual(pb[i]->grad, pa[i]->grad))
                 << pa[i]->name << " at " << threads << " threads";
-        EXPECT_LT(maxAbsDiff(dx, dx_ref), 1e-4) << threads << " threads";
+        EXPECT_TRUE(bitwiseEqual(dx, dx_ref)) << threads << " threads";
     }
+}
+
+TEST(FusionTrainingDeath, EvalOnlyEntryPointsRefuseTrainingModules)
+{
+    // The fused forwards retain no state for backward, so a training-
+    // mode module must never reach them.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    NnRuntime rt;
+    Linear fc("fc", 8, 8, &rt);
+    LayerNorm ln("ln", 8, &rt);
+    Tensor x(Shape({2, 8}));
+    EXPECT_EXIT((void)fc.forwardGemm(x), ::testing::ExitedWithCode(1),
+                "requirement failed");
+    EXPECT_EXIT((void)ln.forwardFusedResidual(x, x),
+                ::testing::ExitedWithCode(1), "requirement failed");
 }
 
 TEST(FusionEval, EncoderLayerFusedCloseToUnfused)
@@ -461,14 +408,17 @@ TEST(FusionEval, EagerFusedAttentionRunsOnlyInFusedEval)
     EXPECT_FALSE(contains(unfused, "attn.fused.fwd"));
     EXPECT_TRUE(contains(unfused, "attn.score.fwd"));
 
-    // Training keeps the packed QKV GEMM but materializes the scores
-    // (backward needs the probabilities).
+    // Training runs the unfused chain with fusion on: separate Q/K/V
+    // projections and materialized scores (backward needs the probs).
     pair.a.setTraining(true);
     setFusionMode(FusionMode::On);
     const auto train = evalKernelNames(pair.a, pair.rt_a, x, mask, prof);
-    EXPECT_TRUE(contains(train, "attn.qkv.fwd"));
+    EXPECT_FALSE(contains(train, "attn.qkv.fwd"));
     EXPECT_FALSE(contains(train, "attn.fused.fwd"));
     EXPECT_TRUE(contains(train, "attn.score.fwd"));
+    EXPECT_FALSE(contains(train, "bias_gelu.fwd"));
+    for (const std::string &name : train)
+        EXPECT_EQ(name.find("res_ln"), std::string::npos) << name;
 }
 
 TEST(FusionEval, FusedEvalRunsFewerKernelsAndMovesFewerBytes)

@@ -106,15 +106,23 @@ expectRunsBitwiseEqual(TrainRun &a, TrainRun &b)
  * The core acceptance criterion: train 2k steps uninterrupted vs.
  * train k steps, tear the whole stack down, rebuild, resume from the
  * checkpoint at k, train to 2k — identical bits on every parameter,
- * counter, and RNG stream.
+ * counter, and RNG stream. With `switch_fusion` every run trains the
+ * first k steps with BERTPROF_FUSION off and the resumed half with it
+ * on: fusion is eval-only, so training bits must not see the knob.
  */
 void
-resumeMatchesUninterrupted(int threads)
+resumeMatchesUninterrupted(int threads, bool switch_fusion = false)
 {
+    struct FusionGuard {
+        ~FusionGuard() { clearFusionModeOverride(); }
+    } fusion_guard;
+    if (switch_fusion)
+        setFusionMode(FusionMode::Off);
     setNumThreads(threads);
     const int k = 6;
-    const std::string dir =
-        freshDir("equiv_t" + std::to_string(threads));
+    const std::string tag = std::to_string(threads) +
+                            (switch_fusion ? "_fusion_switch" : "");
+    const std::string dir = freshDir("equiv_t" + tag);
 
     TrainerOptions options;
     options.checkpointEvery = k;
@@ -127,8 +135,7 @@ resumeMatchesUninterrupted(int threads)
 
     // Interrupted: k steps, destruction (simulates the crash), then a
     // fresh stack resumes from the step-k checkpoint.
-    const std::string dir2 =
-        freshDir("equiv2_t" + std::to_string(threads));
+    const std::string dir2 = freshDir("equiv2_t" + tag);
     TrainerOptions options2 = options;
     options2.checkpointDir = dir2;
     {
@@ -136,6 +143,8 @@ resumeMatchesUninterrupted(int threads)
         for (int i = 0; i < k; ++i)
             first_half.trainer.trainStep();
     }
+    if (switch_fusion)
+        setFusionMode(FusionMode::On);
     TrainRun resumed(options2);
     ASSERT_TRUE(resumed.trainer.resumeLatest().ok());
     EXPECT_EQ(resumed.trainer.iteration(), k);
@@ -171,6 +180,16 @@ TEST(Resume, MatchesUninterruptedRunAtOneThread)
 TEST(Resume, MatchesUninterruptedRunAtEightThreads)
 {
     resumeMatchesUninterrupted(8);
+}
+
+TEST(Resume, FusionSwitchedOnAtResumeMatchesAtOneThread)
+{
+    resumeMatchesUninterrupted(1, /*switch_fusion=*/true);
+}
+
+TEST(Resume, FusionSwitchedOnAtResumeMatchesAtEightThreads)
+{
+    resumeMatchesUninterrupted(8, /*switch_fusion=*/true);
 }
 
 TEST(Resume, ResumedDatasetConsumesTheIdenticalSampleStream)
