@@ -2,7 +2,8 @@
  * @file
  * Measured fused-vs-unfused encoder-layer performance on the CPU
  * substrate: eval forward and closed-loop serving throughput, each
- * with the fused kernels on and off. The fused kernels are eval-only,
+ * with the fused kernels on and off (serving as the median and
+ * quartiles of nine interleaved bursts per mode). The fused kernels are eval-only,
  * so training runs the same kernels either way and has no row here.
  * Alongside each measured ratio the Fig. 12-style analytical
  * prediction is reported: the kernel-count and memory-traffic ratios
@@ -82,6 +83,22 @@ medianInterleaved(const std::vector<TimedConfig> &configs, int reps)
         medians[c] = samples[c][samples[c].size() / 2];
     }
     return medians;
+}
+
+/** Median and quartiles of a set of samples. */
+struct Spread {
+    double p25 = 0.0, median = 0.0, p75 = 0.0;
+};
+
+Spread
+spreadOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const auto at = [&](double q) {
+        return v[static_cast<std::size_t>(
+            q * static_cast<double>(v.size() - 1) + 0.5)];
+    };
+    return {at(0.25), at(0.5), at(0.75)};
 }
 
 double
@@ -173,12 +190,24 @@ main(int argc, char **argv)
     Rng clf_init(7);
     clf.initialize(clf_init);
     clf.setTraining(false);
-    const int serve_count = quick ? 16 : 64;
-    setFusionMode(FusionMode::Off);
-    const double qps_unfused = serveQps(clf, config.vocabSize, serve_count);
-    setFusionMode(FusionMode::On);
-    const double qps_fused = serveQps(clf, config.vocabSize, serve_count);
+    // One closed-loop burst is too short to compare on its own (16
+    // requests once read 0.65x where full runs read 0.95-1.09x), so
+    // each mode runs serve_samples bursts, alternating which goes
+    // first, and the row reports their medians and quartiles.
+    const int serve_count = quick ? 64 : 128;
+    const int serve_samples = 9;
+    std::vector<double> unfused_samples, fused_samples;
+    for (int s = 0; s < serve_samples; ++s) {
+        for (int side = 0; side < 2; ++side) {
+            const bool fused = (s + side) % 2 == 1;
+            setFusionMode(fused ? FusionMode::On : FusionMode::Off);
+            (fused ? fused_samples : unfused_samples)
+                .push_back(serveQps(clf, config.vocabSize, serve_count));
+        }
+    }
     clearFusionModeOverride();
+    const Spread qps_unfused = spreadOf(unfused_samples);
+    const Spread qps_fused = spreadOf(fused_samples);
 
     // -- Report --
     const double traffic_ratio = eval_unfused.bytes / eval_fused.bytes;
@@ -207,8 +236,13 @@ main(int argc, char **argv)
         static_cast<double>(eval_unfused.kernels) /
             static_cast<double>(eval_fused.kernels),
         traffic_ratio, eval_unfused.ms / eval_fused.ms);
-    std::printf("serving: %.1f qps unfused -> %.1f qps fused (%.2fx)\n",
-                qps_unfused, qps_fused, qps_fused / qps_unfused);
+    std::printf("serving (median [p25, p75] of %d x %d requests): "
+                "%.1f [%.1f, %.1f] qps unfused -> %.1f [%.1f, %.1f] qps "
+                "fused (%.2fx)\n",
+                serve_samples, serve_count, qps_unfused.median,
+                qps_unfused.p25, qps_unfused.p75, qps_fused.median,
+                qps_fused.p25, qps_fused.p75,
+                qps_fused.median / qps_unfused.median);
 
     if (!json_path.empty()) {
         std::FILE *f = std::fopen(json_path.c_str(), "w");
@@ -244,8 +278,14 @@ main(int argc, char **argv)
         std::fprintf(
             f,
             "  \"serving\": {\"unfused_qps\": %.2f, \"fused_qps\": "
-            "%.2f, \"speedup\": %.3f}\n}\n",
-            qps_unfused, qps_fused, qps_fused / qps_unfused);
+            "%.2f, \"speedup\": %.3f,\n"
+            "    \"unfused_qps_p25\": %.2f, \"unfused_qps_p75\": %.2f, "
+            "\"fused_qps_p25\": %.2f, \"fused_qps_p75\": %.2f, "
+            "\"samples\": %d, \"requests_per_sample\": %d}\n}\n",
+            qps_unfused.median, qps_fused.median,
+            qps_fused.median / qps_unfused.median, qps_unfused.p25,
+            qps_unfused.p75, qps_fused.p25, qps_fused.p75, serve_samples,
+            serve_count);
         std::fclose(f);
         std::printf("wrote %s\n", json_path.c_str());
     }

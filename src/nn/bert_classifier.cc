@@ -66,20 +66,12 @@ BertClassifier::forwardBackward(const ClassificationBatch &batch)
         ScopedKernel k(rt_->profiler, "classifier.loss",
                        OpKind::Reduction, Phase::Fwd, LayerScope::Output,
                        SubLayer::OutputOps);
-        auto ce = softmaxCrossEntropy(logits, batch.labels, dlogits);
+        const CrossEntropyResult ce =
+            softmaxCrossEntropy(logits, batch.labels, dlogits);
         k.setStats(ce.stats);
         result.loss = ce.loss;
+        result.accuracy = ce.accuracy();
     }
-    std::int64_t correct = 0;
-    for (std::int64_t b = 0; b < config_.batch; ++b) {
-        std::int64_t best = 0;
-        for (std::int64_t c = 1; c < config_.numClasses; ++c)
-            if (logits.at(b, c) > logits.at(b, best))
-                best = c;
-        correct += best == batch.labels[static_cast<std::size_t>(b)];
-    }
-    result.accuracy = static_cast<double>(correct) /
-                      static_cast<double>(config_.batch);
 
     // Backward through the head and the encoder.
     Tensor dpooled = classifier_.backward(dlogits);

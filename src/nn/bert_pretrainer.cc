@@ -13,34 +13,6 @@
 
 namespace bertprof {
 
-namespace {
-
-/** Fraction of labeled rows whose argmax matches the label. */
-double
-argmaxAccuracy(const Tensor &logits,
-               const std::vector<std::int64_t> &labels)
-{
-    const std::int64_t rows = logits.shape().dim(0);
-    const std::int64_t cols = logits.shape().dim(1);
-    std::int64_t counted = 0, correct = 0;
-    for (std::int64_t r = 0; r < rows; ++r) {
-        const std::int64_t label = labels[static_cast<std::size_t>(r)];
-        if (label == kIgnoreIndex)
-            continue;
-        ++counted;
-        std::int64_t best = 0;
-        for (std::int64_t c = 1; c < cols; ++c)
-            if (logits.at(r, c) > logits.at(r, best))
-                best = c;
-        correct += best == label ? 1 : 0;
-    }
-    return counted > 0
-               ? static_cast<double>(correct) / static_cast<double>(counted)
-               : 0.0;
-}
-
-} // namespace
-
 BertPretrainer::BertPretrainer(const BertConfig &config, NnRuntime *rt)
     : config_(config), rt_(rt), model_(config, rt),
       pooler_("pooler", config.dModel, config.dModel, rt,
@@ -138,13 +110,12 @@ BertPretrainer::forwardBackward(const PretrainBatch &batch,
     {
         ScopedKernel k(rt_->profiler, "mlm.loss", OpKind::Reduction,
                        Phase::Fwd, LayerScope::Output, SubLayer::OutputOps);
-        auto ce = softmaxCrossEntropy(logits, batch.mlmLabels, dlogits);
+        const CrossEntropyResult ce = softmaxCrossEntropy(
+            logits, batch.mlmLabels, dlogits, loss_scale);
         k.setStats(ce.stats);
         result.mlmLoss = ce.loss;
-        result.mlmAccuracy = argmaxAccuracy(logits, batch.mlmLabels);
+        result.mlmAccuracy = ce.accuracy();
     }
-    if (loss_scale != 1.0f)
-        scaleForward(dlogits, loss_scale, dlogits);
 
     // Decoder backward.
     {
@@ -207,14 +178,12 @@ BertPretrainer::forwardBackward(const PretrainBatch &batch,
     {
         ScopedKernel k(rt_->profiler, "nsp.loss", OpKind::Reduction,
                        Phase::Fwd, LayerScope::Output, SubLayer::OutputOps);
-        auto ce =
-            softmaxCrossEntropy(nsp_logits, batch.nspLabels, dnsp_logits);
+        const CrossEntropyResult ce = softmaxCrossEntropy(
+            nsp_logits, batch.nspLabels, dnsp_logits, loss_scale);
         k.setStats(ce.stats);
         result.nspLoss = ce.loss;
-        result.nspAccuracy = argmaxAccuracy(nsp_logits, batch.nspLabels);
+        result.nspAccuracy = ce.accuracy();
     }
-    if (loss_scale != 1.0f)
-        scaleForward(dnsp_logits, loss_scale, dnsp_logits);
     Tensor dpooled = nsp_.backward(dnsp_logits);
     Tensor dpooled_pre(dpooled.shape());
     {

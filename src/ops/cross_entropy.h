@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ops/cross_entropy_kernels.h"
 #include "ops/kernel_stats.h"
 #include "tensor/tensor.h"
 
@@ -25,20 +26,38 @@ struct CrossEntropyResult {
     double loss = 0.0;
     /** Number of positions that carried a label. */
     std::int64_t count = 0;
+    /** Labeled positions whose first maximal logit is the label. */
+    std::int64_t correct = 0;
     /** Kernel accounting. */
     KernelStats stats;
+
+    /** correct / count, and 0 when no position carried a label. */
+    double
+    accuracy() const
+    {
+        return count > 0 ? static_cast<double>(correct) /
+                               static_cast<double>(count)
+                         : 0.0;
+    }
 };
 
 /**
  * Forward + backward in one pass: given logits [T, C] and labels
- * (size T, kIgnoreIndex entries skipped), computes the mean loss and
- * writes dlogits = (softmax - onehot) / count for labeled rows and 0
- * for ignored rows.
+ * (size T, kIgnoreIndex entries skipped), computes the mean loss, the
+ * argmax hit count, and writes
+ * dlogits = grad_scale * (softmax - onehot) / count for labeled rows
+ * and 0 for ignored rows (grad_scale is the loss scale of
+ * mixed-precision training; the loss itself is unscaled).
+ *
+ * Rows run in parallel, each in one float pass of `kernels`
+ * (ops/cross_entropy_kernels.h; tests pass each ISA variant's);
+ * per-row losses (in double) are summed in row order, so every output
+ * is bitwise identical at every thread count.
  */
-CrossEntropyResult softmaxCrossEntropy(const Tensor &logits,
-                                       const std::vector<std::int64_t>
-                                           &labels,
-                                       Tensor &dlogits);
+CrossEntropyResult softmaxCrossEntropy(
+    const Tensor &logits, const std::vector<std::int64_t> &labels,
+    Tensor &dlogits, float grad_scale = 1.0f,
+    const CrossEntropyKernels &kernels = selectedCrossEntropyKernels());
 
 } // namespace bertprof
 

@@ -1,5 +1,6 @@
 #include "ops/elementwise.h"
 
+#include "ops/column_sum.h"
 #include "runtime/parallel_for.h"
 #include "tensor/contracts.h"
 #include "util/logging.h"
@@ -95,17 +96,14 @@ biasBackward(const Tensor &dout, Tensor &dbias)
     BP_CHECK_NO_ALIAS(dbias, dout);
     const std::int64_t cols = dbias.shape().dim(0);
     const std::int64_t rows = contracts::rowCount(dout, cols);
-    dbias.fill(0.0f);
-    // Parallel over columns, serial over the row (reduction) axis:
-    // each dbias[c] accumulates rows in the same ascending order as
-    // the serial loop, so the result is bitwise identical for any
-    // thread count.
-    parallelFor(0, cols, 64,
-                [&](std::int64_t c_lo, std::int64_t c_hi) {
-                    for (std::int64_t c = c_lo; c < c_hi; ++c)
-                        for (std::int64_t r = 0; r < rows; ++r)
-                            dbias.data()[c] += dout.data()[r * cols + c];
-                });
+    const float *d = dout.data();
+    columnSums<1>(rows, cols, {dbias.data()},
+                  [d, cols](std::int64_t r, std::int64_t c0, std::int64_t n,
+                            float (*acc)[kColumnBlock]) {
+                      const float *row = d + r * cols + c0;
+                      for (std::int64_t j = 0; j < n; ++j)
+                          acc[0][j] += row[j];
+                  });
     KernelStats s = elementwiseStats(dout.numel(), 1, 0, 1,
                                      dtypeBytes(dout.dtype()));
     s.bytesWritten += dbias.storageBytes();

@@ -4,7 +4,8 @@
  * the vector width in floats. Included only by the variant TUs —
  * gelu_kernels.cc (baseline, 4 lanes), gelu_kernels_avx2.cc (8) and
  * gelu_kernels_avx512.cc (16) — each of which instantiates it once,
- * compiled for its own ISA.
+ * compiled for its own ISA. The vector type and exp come from
+ * ops/vec_math_impl.h, shared with the cross-entropy rows.
  *
  * As in ops/gemm_microkernel_impl.h, everything here has internal
  * linkage and calls no inline or template function from another
@@ -20,6 +21,7 @@
 #include <cstdint>
 
 #include "ops/gelu_kernels.h"
+#include "ops/vec_math_impl.h"
 
 namespace bertprof {
 
@@ -30,49 +32,10 @@ const GeluKernels &geluKernelsAvx512();
 
 namespace {
 
-template <int W> struct GeluVec {
-    typedef float F __attribute__((vector_size(W * sizeof(float))));
-    typedef std::uint32_t U
-        __attribute__((vector_size(W * sizeof(std::uint32_t))));
-
-    static F
-    splat(float s)
-    {
-        F v = {};
-        return v + s;
-    }
-
-    /**
-     * exp(a) for a <= 0 (or NaN): round a / ln2 to n with the 1.5 * 2^23
-     * shifter, reduce r = a - n ln2 (two-part ln2), evaluate the Cephes
-     * expf polynomial on r, scale by 2^n built in the exponent field.
-     * Below -87 the result is 0 (2^n would leave the normal range); the
-     * select keeps NaN, which fails the comparison, flowing through.
-     */
-    static F
-    expNonPositive(F a)
-    {
-        const F shifter = splat(12582912.0f); // 0x1.8p23
-        const F kf = a * splat(1.44269504088896341f) + shifter;
-        const F n = kf - shifter;
-        F r = a - n * splat(0.693359375f);
-        r = r - n * splat(-2.12194440e-4f);
-        F p = splat(1.9875691500e-4f);
-        p = p * r + splat(1.3981999507e-3f);
-        p = p * r + splat(8.3334519073e-3f);
-        p = p * r + splat(4.1665795894e-2f);
-        p = p * r + splat(1.6666665459e-1f);
-        p = p * r + splat(5.0000001201e-1f);
-        p = p * r * r + r + splat(1.0f);
-        U kbits, sbits;
-        __builtin_memcpy(&kbits, &kf, sizeof(F));
-        __builtin_memcpy(&sbits, &shifter, sizeof(F));
-        const U ebits = (kbits - sbits + 127u) << 23;
-        F scale;
-        __builtin_memcpy(&scale, &ebits, sizeof(F));
-        const F e = p * scale;
-        return a < splat(-87.0f) ? splat(0.0f) : e;
-    }
+template <int W> struct GeluVec : VecMath<W> {
+    typedef typename VecMath<W>::F F;
+    using VecMath<W>::splat;
+    using VecMath<W>::expNonPositive;
 
     /** q = erfc(|x| / sqrt(2)) / 2 = Phi(-|x|), no cancellation. */
     static F

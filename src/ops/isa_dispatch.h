@@ -2,7 +2,8 @@
  * @file
  * The one per-process choice of instruction-set variant for the
  * kernels that are compiled more than once: the packed GEMM engine
- * (ops/gemm_microkernel.h) and the float GeLU (ops/gelu_kernels.h).
+ * (ops/gemm_microkernel.h), the float GeLU (ops/gelu_kernels.h) and
+ * the float softmax cross-entropy rows (ops/cross_entropy_kernels.h).
  *
  * Each such kernel is built once per variant, each in its own TU with
  * that variant's compile flags (src/ops/CMakeLists.txt). selectedIsa()

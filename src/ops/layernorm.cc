@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ops/column_sum.h"
 #include "runtime/parallel_for.h"
 #include "tensor/contracts.h"
 #include "util/logging.h"
@@ -131,26 +132,26 @@ layerNormBackward(const Tensor &in, const Tensor &gamma, const Tensor &mean,
             }
         }
     });
-    // Pass 2 — dgamma/dbeta, parallel over columns with the row
-    // (reduction) axis kept serial in ascending order: bitwise
-    // identical to the serial interleaved loop for any thread count.
-    parallelFor(0, cols, 64, [&](std::int64_t c_lo, std::int64_t c_hi) {
-        for (std::int64_t c = c_lo; c < c_hi; ++c) {
-            float dg = 0.0f;
-            float db = 0.0f;
-            for (std::int64_t r = 0; r < rows; ++r) {
-                const double mu = mean.data()[r];
-                const double rs = rstd.data()[r];
-                const float xv = in.data()[r * cols + c];
-                const float dyv = dout.data()[r * cols + c];
-                const double xhat = (xv - mu) * rs;
-                dg += static_cast<float>(dyv * xhat);
-                db += dyv;
-            }
-            dgamma.data()[c] = dg;
-            dbeta.data()[c] = db;
-        }
-    });
+    // Pass 2 — dgamma/dbeta as row-order column sums (ops/column_sum.h):
+    // bitwise identical to the serial column-strided loop for any
+    // thread count.
+    const float *x = in.data();
+    const float *dy = dout.data();
+    const float *mean_p = mean.data();
+    const float *rstd_p = rstd.data();
+    columnSums<2>(rows, cols, {dgamma.data(), dbeta.data()},
+                  [=](std::int64_t r, std::int64_t c0, std::int64_t n,
+                      float (*acc)[kColumnBlock]) {
+                      const double mu = mean_p[r];
+                      const double rs = rstd_p[r];
+                      const float *xr = x + r * cols + c0;
+                      const float *dyr = dy + r * cols + c0;
+                      for (std::int64_t j = 0; j < n; ++j) {
+                          const double xhat = (xr[j] - mu) * rs;
+                          acc[0][j] += static_cast<float>(dyr[j] * xhat);
+                          acc[1][j] += dyr[j];
+                      }
+                  });
     KernelStats s = elementwiseStats(in.numel(), 2, 1, 9,
                                      dtypeBytes(in.dtype()));
     s.bytesRead += gamma.storageBytes() + mean.storageBytes() +

@@ -1,10 +1,18 @@
 #include "optim/grad_scaler.h"
 
-#include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "util/logging.h"
 
 namespace bertprof {
+
+namespace {
+
+/** Exponent field of an IEEE-754 float. */
+constexpr std::uint32_t kExponentMask = 0x7f800000u;
+
+} // namespace
 
 GradScaler::GradScaler(float initial_scale, float growth_factor,
                        float backoff_factor, std::int64_t growth_interval)
@@ -20,21 +28,26 @@ GradScaler::GradScaler(float initial_scale, float growth_factor,
 bool
 GradScaler::unscale(const std::vector<Parameter *> &params)
 {
+    // One branch-free pass per parameter: scale every element and
+    // OR together a non-finite flag taken from the input's exponent
+    // bits (all ones for inf and NaN). Finite elements get the same
+    // bits as a checked loop; a non-finite one zeroes everything below.
     const float inv = 1.0f / scale_;
-    bool finite = true;
+    std::uint32_t nonfinite = 0;
     for (Parameter *param : params) {
         float *g = param->grad.data();
         const std::int64_t n = param->grad.numel();
+        std::uint32_t flag = 0;
         for (std::int64_t i = 0; i < n; ++i) {
-            if (!std::isfinite(g[i])) {
-                finite = false;
-                break;
-            }
+            std::uint32_t bits = 0;
+            std::memcpy(&bits, &g[i], sizeof(bits));
+            flag |= static_cast<std::uint32_t>((bits & kExponentMask) ==
+                                               kExponentMask);
             g[i] *= inv;
         }
-        if (!finite)
-            break;
+        nonfinite |= flag;
     }
+    const bool finite = nonfinite == 0;
     if (!finite) {
         // The step must be skipped; leave no stale scaled gradients.
         for (Parameter *param : params)

@@ -1,8 +1,10 @@
 #include "optim/optimizer.h"
 
 #include <cmath>
+#include <vector>
 
 #include "runtime/fault_injection.h"
+#include "runtime/parallel_for.h"
 #include "tensor/contracts.h"
 #include "util/logging.h"
 
@@ -54,21 +56,68 @@ Optimizer::loadState(const std::vector<Parameter *> &params,
     return IoStatus::success();
 }
 
-float
-Optimizer::globalGradScale(const std::vector<Parameter *> &params)
+double
+Optimizer::globalGradNorm(const std::vector<Parameter *> &params)
 {
     ScopedKernel k(profiler_, "opt.grad_l2_norm", OpKind::Reduction,
                    Phase::Update, LayerScope::Optimizer,
                    SubLayer::GradNorm);
+    // Sum of squares on the runtime's fixed chunk grid, as in LAMB
+    // stage 1, with chunk partials merged in chunk order: the same bits
+    // at every thread count, 1 included. Inside a chunk, squares go
+    // into kLanes float lanes for one block of kBlock elements (8 terms
+    // a lane), and each block's lanes into kLanes double lanes; the
+    // float step keeps the loop at memory bandwidth on the baseline
+    // ISA, where widening every element to double would not.
     double sum_sq = 0.0;
     std::int64_t total = 0;
+    std::vector<double> partials;
     for (const Parameter *param : params) {
-        const double norm = param->grad.l2Norm();
-        sum_sq += norm * norm;
-        total += param->grad.numel();
+        const float *g = param->grad.data();
+        const std::int64_t n = param->grad.numel();
+        partials.assign(
+            static_cast<std::size_t>(chunkCount(n, kElementwiseGrain)), 0.0);
+        parallelForChunks(
+            0, n, kElementwiseGrain,
+            [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
+                constexpr int kLanes = 16;
+                constexpr std::int64_t kBlock = 128;
+                double lanes[kLanes] = {};
+                for (std::int64_t b = lo; b < hi; b += kBlock) {
+                    float block[kLanes] = {};
+                    if (hi - b >= kBlock) {
+                        for (std::int64_t j = 0; j < kBlock; j += kLanes) {
+                            for (int l = 0; l < kLanes; ++l) {
+                                const float v = g[b + j + l];
+                                block[l] += v * v;
+                            }
+                        }
+                    } else {
+                        for (std::int64_t j = 0; j < hi - b; ++j) {
+                            const float v = g[b + j];
+                            block[j % kLanes] += v * v;
+                        }
+                    }
+                    for (int l = 0; l < kLanes; ++l)
+                        lanes[l] += block[l];
+                }
+                double chunk_sum = 0.0;
+                for (int l = 0; l < kLanes; ++l)
+                    chunk_sum += lanes[l];
+                partials[static_cast<std::size_t>(c)] = chunk_sum;
+            });
+        for (const double p : partials)
+            sum_sq += p;
+        total += n;
     }
     k.setStats(elementwiseStats(total, 1, 0, 2));
-    const double global_norm = std::sqrt(sum_sq);
+    return std::sqrt(sum_sq);
+}
+
+float
+Optimizer::globalGradScale(const std::vector<Parameter *> &params)
+{
+    const double global_norm = globalGradNorm(params);
     if (config_.maxGradNorm <= 0.0f || global_norm <= config_.maxGradNorm ||
         global_norm == 0.0) {
         return 1.0f;

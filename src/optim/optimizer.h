@@ -76,9 +76,14 @@ class Optimizer
 
   protected:
     /**
-     * Compute the global gradient L2 norm and return the scale that
-     * enforces maxGradNorm (1.0 when clipping is off or unneeded).
-     * Records the GradNorm reduction kernel.
+     * Global gradient L2 norm over `params`, bitwise the same at every
+     * thread count. Records the GradNorm reduction kernel.
+     */
+    double globalGradNorm(const std::vector<Parameter *> &params);
+
+    /**
+     * The scale that enforces maxGradNorm on globalGradNorm() (1.0
+     * when clipping is off or unneeded).
      */
     float globalGradScale(const std::vector<Parameter *> &params);
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # SIGILL guard for the wide-ISA kernel variants (packed GEMM, float
-# GeLU): a TU compiled with AVX2/AVX-512 flags may define exactly one
-# global symbol, its entry point, and no weak or COMDAT symbol (nm types W/w, V/v, u). A weak
-# copy of shared inline code (a std:: template, an inline function)
+# GeLU and cross-entropy rows): a TU compiled with AVX2/AVX-512 flags
+# may define exactly one global symbol, its entry point, and no weak
+# or COMDAT symbol (nm types W/w, V/v, u). A weak copy of shared
+# inline code (a std:: template, an inline function)
 # could win at link time and put wide instructions on the path of
 # CPUs that lack them.
 #

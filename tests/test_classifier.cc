@@ -90,6 +90,34 @@ TEST(BertClassifier, PredictIsConsistentWithLogits)
     }
 }
 
+TEST(BertClassifier, StepAccuracyMatchesPredictArgmax)
+{
+    // The step's accuracy comes from the cross-entropy pass's folded
+    // argmax; predict() keeps the strict-`>` loop. Without dropout both
+    // see the same logits, so they must agree batch by batch.
+    BertConfig config = tinyClassifierConfig();
+    config.numClasses = 5;
+    config.batch = 8;
+    NnRuntime rt;
+    rt.dropoutP = 0.0f;
+    BertClassifier classifier(config, &rt);
+    Rng init(34);
+    classifier.initialize(init);
+    SyntheticDataset dataset(config, 44);
+    for (int it = 0; it < 4; ++it) {
+        const auto batch = dataset.nextClassificationBatch();
+        const auto predictions = classifier.predict(batch);
+        std::int64_t hits = 0;
+        for (std::size_t b = 0; b < predictions.size(); ++b)
+            hits += predictions[b] == batch.labels[b] ? 1 : 0;
+        classifier.zeroGrad();
+        const auto result = classifier.forwardBackward(batch);
+        EXPECT_EQ(result.accuracy, static_cast<double>(hits) /
+                                       static_cast<double>(config.batch))
+            << "batch " << it;
+    }
+}
+
 TEST(BertClassifier, ParameterCountMatchesConfig)
 {
     const BertConfig config = tinyClassifierConfig();
