@@ -1,18 +1,20 @@
-// Raw fopen/fwrite/fread live here by design: src/io is the one layer
-// allowed to touch files directly (bplint rule unchecked-io), and the
-// C stdio API gives us the explicit fflush + fsync + rename sequence
-// crash safety needs.
+// Raw POSIX and stdio I/O live here by design: src/io is the one
+// layer allowed to touch files directly (bplint rule unchecked-io).
+// Checkpoints use open/write/pread/fsync on a descriptor so the
+// payload streams through one bounded buffer in each direction.
 
 #include "io/binary_io.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <thread>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "io/crc32.h"
@@ -23,16 +25,55 @@ namespace bertprof {
 
 namespace {
 
+// Host is assumed little-endian (x86/ARM Linux); the magic check on
+// read rejects cross-endian files outright rather than misreading
+// them.
 constexpr std::uint32_t kMagic = 0x314B5042u; // "BPK1" little-endian
+constexpr std::size_t kHeaderBytes = 20;
 
-void
-putLe(std::string &buf, const void *data, std::size_t size)
+/** Write all `size` bytes at the descriptor's offset. */
+bool
+writeAll(int fd, const char *data, std::size_t size)
 {
-    // Host is assumed little-endian (x86/ARM Linux); the magic check
-    // on read rejects cross-endian files outright rather than
-    // misreading them.
-    buf.append(static_cast<const char *>(data), size);
+    while (size > 0) {
+        const ssize_t n = ::write(fd, data, size);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        data += n;
+        size -= static_cast<std::size_t>(n);
+    }
+    return true;
 }
+
+/** Read exactly `size` bytes at `offset`; false on EOF or error. */
+bool
+readAllAt(int fd, char *out, std::size_t size, std::uint64_t offset)
+{
+    while (size > 0) {
+        const ssize_t n =
+            ::pread(fd, out, size, static_cast<off_t>(offset));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        out += n;
+        size -= static_cast<std::size_t>(n);
+        offset += static_cast<std::uint64_t>(n);
+    }
+    return true;
+}
+
+/** Closes a descriptor on every return path. */
+struct FdGuard {
+    int fd;
+    ~FdGuard()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+};
 
 /** fsync the directory containing `path` so the rename is durable. */
 void
@@ -51,28 +92,33 @@ syncParentDir(const std::string &path)
 
 } // namespace
 
+BinaryWriter::BinaryWriter(int fd)
+    : fd_(fd), stage_(new char[kStagingBytes])
+{
+}
+
 void
 BinaryWriter::u8(std::uint8_t v)
 {
-    putLe(buf_, &v, sizeof v);
+    bytes(&v, sizeof v);
 }
 
 void
 BinaryWriter::u32(std::uint32_t v)
 {
-    putLe(buf_, &v, sizeof v);
+    bytes(&v, sizeof v);
 }
 
 void
 BinaryWriter::u64(std::uint64_t v)
 {
-    putLe(buf_, &v, sizeof v);
+    bytes(&v, sizeof v);
 }
 
 void
 BinaryWriter::i64(std::int64_t v)
 {
-    putLe(buf_, &v, sizeof v);
+    bytes(&v, sizeof v);
 }
 
 void
@@ -95,26 +141,110 @@ void
 BinaryWriter::str(const std::string &s)
 {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s);
+    bytes(s.data(), s.size());
 }
 
 void
 BinaryWriter::bytes(const void *data, std::size_t size)
 {
-    buf_.append(static_cast<const char *>(data), size);
+    const auto *p = static_cast<const char *>(data);
+    size_ += size;
+    if (fd_ < 0) {
+        buf_.append(p, size);
+        return;
+    }
+    if (staged_ + size > kStagingBytes) {
+        flush();
+        if (size >= kStagingBytes) {
+            drain(p, size);
+            return;
+        }
+    }
+    std::memcpy(stage_.get() + staged_, p, size);
+    staged_ += size;
+}
+
+void
+BinaryWriter::drain(const char *data, std::size_t size)
+{
+    // One staging-sized piece at a time, so the bytes the CRC just
+    // read are still in cache when write(2) copies them.
+    while (size > 0 && !failed_) {
+        const std::size_t n = std::min(size, kStagingBytes);
+        crc_ = crc32(data, n, crc_);
+        failed_ = !writeAll(fd_, data, n);
+        data += n;
+        size -= n;
+    }
+}
+
+bool
+BinaryWriter::flush()
+{
+    if (fd_ >= 0) {
+        drain(stage_.get(), staged_);
+        staged_ = 0;
+    }
+    return !failed_;
+}
+
+BinaryReader::BinaryReader(std::string data)
+    : data_(std::move(data)), end_(data_.size())
+{
+}
+
+BinaryReader::BinaryReader(int fd, std::uint64_t offset,
+                           std::uint64_t size)
+    : fd_(fd), stage_(new char[kStagingBytes]), offset_(offset),
+      unread_(size)
+{
+}
+
+const char *
+BinaryReader::window() const
+{
+    return fd_ < 0 ? data_.data() : stage_.get();
 }
 
 bool
 BinaryReader::take(void *out, std::size_t size)
 {
-    if (failed_ || pos_ + size > data_.size()) {
+    auto *dst = static_cast<char *>(out);
+    if (failed_ || size > remaining()) {
         failed_ = true;
         std::memset(out, 0, size);
         return false;
     }
-    std::memcpy(out, data_.data() + pos_, size);
-    pos_ += size;
-    return true;
+    const std::size_t buffered = end_ - pos_;
+    if (size <= buffered) {
+        std::memcpy(dst, window() + pos_, size);
+        pos_ += size;
+        return true;
+    }
+    // Only a file-backed reader gets here: the window runs dry.
+    std::memcpy(dst, window() + pos_, buffered);
+    pos_ = end_;
+    const std::size_t rest = size - buffered;
+    bool ok;
+    if (rest >= kStagingBytes) {
+        ok = readAllAt(fd_, dst + buffered, rest, offset_);
+        offset_ += rest;
+        unread_ -= rest;
+    } else {
+        const auto refill = static_cast<std::size_t>(
+            std::min<std::uint64_t>(unread_, kStagingBytes));
+        ok = readAllAt(fd_, stage_.get(), refill, offset_);
+        offset_ += refill;
+        unread_ -= refill;
+        end_ = refill;
+        pos_ = rest;
+        std::memcpy(dst + buffered, stage_.get(), rest);
+    }
+    if (!ok) {
+        failed_ = true;
+        std::memset(out, 0, size);
+    }
+    return ok;
 }
 
 std::uint8_t
@@ -171,12 +301,14 @@ std::string
 BinaryReader::str()
 {
     const std::uint32_t size = u32();
-    if (failed_ || pos_ + size > data_.size()) {
+    // Bounded by the bytes left, so a corrupt length can neither
+    // over-read nor allocate more than the payload holds.
+    if (failed_ || size > remaining()) {
         failed_ = true;
         return "";
     }
-    std::string s = data_.substr(pos_, size);
-    pos_ += size;
+    std::string s(size, '\0');
+    take(s.data(), size);
     return s;
 }
 
@@ -186,8 +318,17 @@ BinaryReader::bytes(void *out, std::size_t size)
     take(out, size);
 }
 
+bool
+BinaryReader::rest(std::string &out)
+{
+    out.resize(static_cast<std::size_t>(remaining()));
+    if (!take(out.data(), out.size()))
+        out.clear();
+    return !failed_;
+}
+
 IoStatus
-writeFileAtomic(const std::string &path, const std::string &payload,
+writeFileAtomic(const std::string &path, const PayloadEmitter &emit,
                 std::uint32_t version)
 {
     const FaultKind fault = faultAt("io.write");
@@ -197,52 +338,60 @@ writeFileAtomic(const std::string &path, const std::string &payload,
             "transient write failure injected for " + path);
     }
 
-    // The 20-byte header and the payload go out as two writes, so
-    // the payload is never copied into a second file-sized buffer.
-    std::string header;
-    const std::uint32_t magic = kMagic;
-    const std::uint64_t size = payload.size();
-    const std::uint32_t crc = crc32(payload);
-    putLe(header, &magic, sizeof magic);
-    putLe(header, &version, sizeof version);
-    putLe(header, &size, sizeof size);
-    putLe(header, &crc, sizeof crc);
-    const std::size_t file_size = header.size() + payload.size();
-
     const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) {
+    FdGuard file{::open(tmp.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)};
+    if (file.fd < 0) {
         return IoStatus::failure(IoError::OpenFailed,
                                  "cannot open " + tmp + " for writing");
     }
-    // A torn write models dying mid-flush: only half the bytes reach
-    // the temp file and the commit rename never happens, so the
-    // previously committed checkpoint (if any) stays intact.
-    const std::size_t to_write =
-        fault == FaultKind::TornWrite ? file_size / 2 : file_size;
-    const std::size_t head = std::min(to_write, header.size());
-    std::size_t wrote = std::fwrite(header.data(), 1, head, f);
-    if (to_write > head)
-        wrote += std::fwrite(payload.data(), 1, to_write - head, f);
+    // The payload streams after a header whose size and CRC are known
+    // only once it has all gone out; they are written last, in place.
+    char header[kHeaderBytes] = {};
+    const std::uint32_t magic = kMagic;
+    std::memcpy(header, &magic, 4);
+    std::memcpy(header + 4, &version, 4);
+    BinaryWriter out(file.fd);
+    bool wrote = writeAll(file.fd, header, sizeof header);
+    if (wrote) {
+        emit(out);
+        wrote = out.flush();
+    }
+    if (wrote) {
+        const std::uint64_t size = out.size();
+        const std::uint32_t crc = out.crc();
+        std::memcpy(header + 8, &size, 8);
+        std::memcpy(header + 16, &crc, 4);
+        wrote = ::pwrite(file.fd, header, sizeof header, 0) ==
+                static_cast<ssize_t>(sizeof header);
+    }
+    // A torn write models dying mid-flush: only the first half of the
+    // file's bytes survive in the temp file and the commit rename
+    // never happens, so the previously committed checkpoint (if any)
+    // stays intact.
     if (fault == FaultKind::TornWrite) {
-        std::fclose(f);
+        const auto half =
+            static_cast<off_t>((sizeof header + out.size()) / 2);
+        if (::ftruncate(file.fd, half) != 0) {
+            BP_LOG(Warn) << "could not truncate " << tmp
+                         << " for the injected torn write";
+        }
         return IoStatus::failure(IoError::WriteFailed,
                                  "torn write injected for " + tmp +
                                      " (file left truncated)");
     }
-    if (wrote != file_size) {
-        std::fclose(f);
+    if (!wrote) {
         std::remove(tmp.c_str());
         return IoStatus::failure(IoError::WriteFailed,
                                  "short write to " + tmp);
     }
-    if (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0) {
-        std::fclose(f);
+    if (::fsync(file.fd) != 0) {
         std::remove(tmp.c_str());
         return IoStatus::failure(IoError::WriteFailed,
                                  "flush/fsync failed for " + tmp);
     }
-    std::fclose(f);
+    ::close(file.fd);
+    file.fd = -1;
 
     if (faultAt("io.commit") == FaultKind::TornWrite) {
         return IoStatus::failure(IoError::WriteFailed,
@@ -261,24 +410,33 @@ writeFileAtomic(const std::string &path, const std::string &payload,
 }
 
 IoStatus
-readFileValidated(const std::string &path, std::string &payloadOut,
+writeFileAtomic(const std::string &path, const std::string &payload,
+                std::uint32_t version)
+{
+    return writeFileAtomic(
+        path,
+        [&](BinaryWriter &out) { out.bytes(payload.data(), payload.size()); },
+        version);
+}
+
+IoStatus
+readFileValidated(const std::string &path, const PayloadDecoder &decode,
                   std::uint32_t version)
 {
-    payloadOut.clear();
     if (faultAt("io.read") == FaultKind::IoError) {
         return IoStatus::failure(
             IoError::Transient,
             "transient read failure injected for " + path);
     }
 
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
+    const FdGuard file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+    if (file.fd < 0)
         return IoStatus::failure(IoError::NotFound, "cannot open " + path);
 
-    unsigned char header[20];
-    const std::size_t got = std::fread(header, 1, sizeof header, f);
-    if (got != sizeof header) {
-        std::fclose(f);
+    char header[kHeaderBytes];
+    struct ::stat st;
+    if (!readAllAt(file.fd, header, sizeof header, 0) ||
+        ::fstat(file.fd, &st) != 0) {
         return IoStatus::failure(IoError::Truncated,
                                  path + " is shorter than the "
                                         "checkpoint header");
@@ -290,36 +448,71 @@ readFileValidated(const std::string &path, std::string &payloadOut,
     std::memcpy(&size, header + 8, 8);
     std::memcpy(&crc, header + 16, 4);
     if (magic != kMagic) {
-        std::fclose(f);
         return IoStatus::failure(IoError::BadMagic,
                                  path + " is not a bertprof "
                                         "checkpoint (bad magic)");
     }
     if (file_version != version) {
-        std::fclose(f);
         return IoStatus::failure(
             IoError::BadVersion,
             path + " has format version " +
                 std::to_string(file_version) + ", expected " +
                 std::to_string(version));
     }
-
-    std::string payload(size, '\0');
-    const std::size_t read =
-        size == 0 ? 0 : std::fread(payload.data(), 1, size, f);
-    std::fclose(f);
-    if (read != size) {
+    // The header is outside the CRC, so `size` is checked against the
+    // file before it sizes anything.
+    const std::uint64_t available =
+        static_cast<std::uint64_t>(st.st_size) - sizeof header;
+    if (size > available) {
         return IoStatus::failure(
             IoError::Truncated,
-            path + " payload truncated (" + std::to_string(read) +
+            path + " payload truncated (" + std::to_string(available) +
                 " of " + std::to_string(size) + " bytes)");
     }
-    if (crc32(payload) != crc) {
-        return IoStatus::failure(IoError::BadChecksum,
-                                 "payload CRC mismatch in " + path);
+
+    // Pass 1: the CRC, in staging-sized chunks.
+    {
+        const std::unique_ptr<char[]> chunk(new char[kStagingBytes]);
+        std::uint32_t got = 0;
+        for (std::uint64_t done = 0; done < size;) {
+            const auto n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(size - done, kStagingBytes));
+            if (!readAllAt(file.fd, chunk.get(), n,
+                           sizeof header + done)) {
+                return IoStatus::failure(
+                    IoError::Truncated,
+                    path + " payload truncated (" +
+                        std::to_string(done) + " of " +
+                        std::to_string(size) + " bytes)");
+            }
+            got = crc32(chunk.get(), n, got);
+            done += n;
+        }
+        if (got != crc) {
+            return IoStatus::failure(IoError::BadChecksum,
+                                     "payload CRC mismatch in " + path);
+        }
     }
-    payloadOut = std::move(payload);
-    return IoStatus::success();
+
+    // Pass 2: decode from the same open file.
+    BinaryReader in(file.fd, sizeof header, size);
+    return decode(in);
+}
+
+IoStatus
+readFileValidated(const std::string &path, std::string &payloadOut,
+                  std::uint32_t version)
+{
+    payloadOut.clear();
+    return readFileValidated(
+        path,
+        [&](BinaryReader &in) {
+            return in.rest(payloadOut)
+                       ? IoStatus::success()
+                       : IoStatus::failure(IoError::Truncated,
+                                           path + " payload truncated");
+        },
+        version);
 }
 
 IoStatus

@@ -11,13 +11,18 @@
  *   u32  crc32   CRC-32 of the payload bytes
  *   ...  payload
  *
+ * The container is streamed both ways through one kStagingBytes
+ * buffer, so no buffer is ever the size of the payload.
  * writeFileAtomic() follows the standard crash-safe protocol: write
- * to `<path>.tmp`, fflush + fsync, then rename(2) over `path` — a
- * reader never observes a half-written file under POSIX rename
- * atomicity, and a crash at any instant leaves either the old file or
- * the new one, never a blend. readFileValidated() checks magic,
- * version, length, and CRC before a single payload byte is trusted,
- * returning typed IoStatus errors instead of aborting.
+ * to `<path>.tmp` (the payload emitter writes through a BinaryWriter
+ * bound to the file, and the size and CRC land in the header last),
+ * fsync, then rename(2) over `path` — a reader never observes a
+ * half-written file under POSIX rename atomicity, and a crash at any
+ * instant leaves either the old file or the new one, never a blend.
+ * readFileValidated() checks magic, version, the declared length
+ * against the file's, and the CRC (pass 1) before a single payload
+ * byte is handed to the decoder (pass 2), returning typed IoStatus
+ * errors instead of aborting.
  *
  * Fault-injection sites (runtime/fault_injection.h): `io.write`
  * (torn / ioerr), `io.commit` (torn = crash before rename), and
@@ -30,16 +35,34 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "io/io_status.h"
 
 namespace bertprof {
 
-/** Growable little-endian binary buffer. */
+/** Size of the one staging buffer a streaming BinaryWriter or
+ *  BinaryReader holds: the bound on the memory checkpoint I/O takes
+ *  beyond the state itself. */
+constexpr std::size_t kStagingBytes = std::size_t{1} << 20;
+
+/**
+ * Little-endian binary encoder. Default-constructed, it grows an
+ * in-memory buffer(); bound to a file, it streams: small values are
+ * staged in one kStagingBytes buffer, runs of kStagingBytes or more
+ * go from the caller's memory straight to write(2), and a running
+ * CRC-32 covers every byte that reached the file.
+ */
 class BinaryWriter
 {
   public:
+    BinaryWriter() = default;
+    /** Streams to the open file `fd` (not owned) at its offset. */
+    explicit BinaryWriter(int fd);
+    BinaryWriter(const BinaryWriter &) = delete;
+    BinaryWriter &operator=(const BinaryWriter &) = delete;
+
     void u8(std::uint8_t v);
     void u32(std::uint32_t v);
     void u64(std::uint64_t v);
@@ -53,21 +76,43 @@ class BinaryWriter
     /** Raw bytes, no length prefix. */
     void bytes(const void *data, std::size_t size);
 
+    /** Write out the staged bytes. False once any write to the file
+     *  failed (the first failure latches; later output is dropped). */
+    bool flush();
+    /** Bytes encoded so far. */
+    std::uint64_t size() const { return size_; }
+    /** CRC-32 of the bytes flushed to the file so far. */
+    std::uint32_t crc() const { return crc_; }
+    /** The in-memory encoding (empty when streaming). */
     const std::string &buffer() const { return buf_; }
 
   private:
+    void drain(const char *data, std::size_t size);
+
     std::string buf_;
+    int fd_ = -1;
+    std::unique_ptr<char[]> stage_;
+    std::size_t staged_ = 0;
+    std::uint64_t size_ = 0;
+    std::uint32_t crc_ = 0;
+    bool failed_ = false;
 };
 
 /**
- * Sequential reader over an in-memory payload. The first underrun
- * latches failed(); every later read returns zero values, so callers
- * may decode a whole record and check once.
+ * Sequential reader over a payload held in memory or streamed from a
+ * file through one kStagingBytes buffer (runs of kStagingBytes or
+ * more are read straight into the destination). Every read is
+ * bounded by the bytes left; the first underrun or read error
+ * latches failed(), and every later read returns zero values, so
+ * callers may decode a whole record and check once.
  */
 class BinaryReader
 {
   public:
-    explicit BinaryReader(std::string data) : data_(std::move(data)) {}
+    explicit BinaryReader(std::string data);
+    /** The `size` bytes of the open file `fd` (not owned) that start
+     *  at `offset`. */
+    BinaryReader(int fd, std::uint64_t offset, std::uint64_t size);
 
     std::uint8_t u8();
     std::uint32_t u32();
@@ -75,18 +120,28 @@ class BinaryReader
     std::int64_t i64();
     float f32();
     double f64();
+    /** Length-prefixed string; a length past the end fails. */
     std::string str();
     /** Copy `size` raw bytes into `out`. */
     void bytes(void *out, std::size_t size);
+    /** Every byte left, into `out`; false (and `out` empty) on a
+     *  read error. */
+    bool rest(std::string &out);
 
     bool failed() const { return failed_; }
-    std::size_t remaining() const { return data_.size() - pos_; }
+    std::uint64_t remaining() const { return (end_ - pos_) + unread_; }
 
   private:
     bool take(void *out, std::size_t size);
+    const char *window() const;
 
     std::string data_;
+    int fd_ = -1;
+    std::unique_ptr<char[]> stage_;
     std::size_t pos_ = 0;
+    std::size_t end_ = 0;
+    std::uint64_t offset_ = 0;
+    std::uint64_t unread_ = 0;
     bool failed_ = false;
 };
 
@@ -94,19 +149,47 @@ class BinaryReader
 constexpr std::uint32_t kCheckpointFormatVersion = 1;
 
 /**
- * Crash-safely replace `path` with header + payload (temp file,
- * flush, fsync, atomic rename). Returns typed errors; on failure the
- * previous contents of `path` are untouched.
+ * Encodes one container's payload into a streaming writer. It may run
+ * more than once: a retried save re-runs it on a fresh temp file.
  */
+using PayloadEmitter = std::function<void(BinaryWriter &out)>;
+
+/**
+ * Decodes a validated payload; its status becomes the read's. It runs
+ * only after the magic, version, length and CRC checks passed.
+ */
+using PayloadDecoder = std::function<IoStatus(BinaryReader &in)>;
+
+/**
+ * Crash-safely replace `path` with header + the payload `emit`
+ * writes (temp file, fsync, atomic rename, directory fsync). Returns
+ * typed errors; on failure the previous contents of `path` are
+ * untouched.
+ */
+IoStatus writeFileAtomic(const std::string &path,
+                         const PayloadEmitter &emit,
+                         std::uint32_t version = kCheckpointFormatVersion);
+
+/** writeFileAtomic() of an in-memory payload. */
 IoStatus writeFileAtomic(const std::string &path,
                          const std::string &payload,
                          std::uint32_t version = kCheckpointFormatVersion);
 
 /**
- * Read and validate a container written by writeFileAtomic(),
- * leaving the payload in `payloadOut`. Magic, version, declared
- * length, and CRC are all checked first; any mismatch is a typed
- * error and `payloadOut` is left empty.
+ * Validate a container written by writeFileAtomic(), then stream its
+ * payload to `decode`. Pass 1 checks magic, version, the declared
+ * length against the file's length and the CRC, reading the payload
+ * in kStagingBytes chunks; any mismatch is a typed error and `decode`
+ * never runs. Pass 2 hands `decode` a reader over the same open
+ * file, so its bytes are the ones pass 1 checked.
+ */
+IoStatus readFileValidated(const std::string &path,
+                           const PayloadDecoder &decode,
+                           std::uint32_t version = kCheckpointFormatVersion);
+
+/**
+ * readFileValidated() into an in-memory payload. On any error
+ * `payloadOut` is left empty.
  */
 IoStatus readFileValidated(const std::string &path,
                            std::string &payloadOut,

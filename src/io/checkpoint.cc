@@ -44,51 +44,55 @@ tagName(std::uint8_t tag)
 void
 StateWriter::i64(const std::string &name, std::int64_t v)
 {
-    writer_.u8(kTagI64);
-    writer_.str(name);
-    writer_.i64(v);
+    out_->u8(kTagI64);
+    out_->str(name);
+    out_->i64(v);
 }
 
 void
 StateWriter::f32(const std::string &name, float v)
 {
-    writer_.u8(kTagF32);
-    writer_.str(name);
-    writer_.f32(v);
+    out_->u8(kTagF32);
+    out_->str(name);
+    out_->f32(v);
 }
 
 void
 StateWriter::f64(const std::string &name, double v)
 {
-    writer_.u8(kTagF64);
-    writer_.str(name);
-    writer_.f64(v);
+    out_->u8(kTagF64);
+    out_->str(name);
+    out_->f64(v);
 }
 
 void
 StateWriter::str(const std::string &name, const std::string &v)
 {
-    writer_.u8(kTagStr);
-    writer_.str(name);
-    writer_.str(v);
+    out_->u8(kTagStr);
+    out_->str(name);
+    out_->str(v);
 }
 
 void
 StateWriter::tensor(const std::string &name, const Tensor &t)
 {
-    writer_.u8(kTagTensor);
-    writer_.str(name);
+    out_->u8(kTagTensor);
+    out_->str(name);
     const Shape &shape = t.shape();
-    writer_.u32(static_cast<std::uint32_t>(shape.rank()));
+    out_->u32(static_cast<std::uint32_t>(shape.rank()));
     for (int d = 0; d < shape.rank(); ++d)
-        writer_.i64(shape.dim(d));
-    writer_.u8(t.dtype() == DType::F16 ? 1 : 0);
-    writer_.bytes(t.data(),
-                  static_cast<std::size_t>(t.numel()) * sizeof(float));
+        out_->i64(shape.dim(d));
+    out_->u8(t.dtype() == DType::F16 ? 1 : 0);
+    out_->bytes(t.data(),
+                static_cast<std::size_t>(t.numel()) * sizeof(float));
 }
 
 StateReader::StateReader(std::string payload)
-    : reader_(std::move(payload))
+    : own_(std::move(payload)), in_(&own_)
+{
+}
+
+StateReader::StateReader(BinaryReader &in) : own_(std::string()), in_(&in)
 {
 }
 
@@ -104,9 +108,9 @@ StateReader::readHeader(const std::string &name, std::uint8_t tag)
 {
     if (!status_.ok())
         return false;
-    const std::uint8_t got_tag = reader_.u8();
-    const std::string got_name = reader_.str();
-    if (reader_.failed()) {
+    const std::uint8_t got_tag = in_->u8();
+    const std::string got_name = in_->str();
+    if (in_->failed()) {
         fail(IoError::BadFormat,
              "payload ended while expecting field '" + name + "'");
         return false;
@@ -126,8 +130,8 @@ StateReader::i64(const std::string &name, std::int64_t &out)
 {
     if (!readHeader(name, kTagI64))
         return false;
-    out = reader_.i64();
-    if (reader_.failed()) {
+    out = in_->i64();
+    if (in_->failed()) {
         fail(IoError::BadFormat, "truncated i64 field '" + name + "'");
         return false;
     }
@@ -139,8 +143,8 @@ StateReader::f32(const std::string &name, float &out)
 {
     if (!readHeader(name, kTagF32))
         return false;
-    out = reader_.f32();
-    if (reader_.failed()) {
+    out = in_->f32();
+    if (in_->failed()) {
         fail(IoError::BadFormat, "truncated f32 field '" + name + "'");
         return false;
     }
@@ -152,8 +156,8 @@ StateReader::f64(const std::string &name, double &out)
 {
     if (!readHeader(name, kTagF64))
         return false;
-    out = reader_.f64();
-    if (reader_.failed()) {
+    out = in_->f64();
+    if (in_->failed()) {
         fail(IoError::BadFormat, "truncated f64 field '" + name + "'");
         return false;
     }
@@ -165,8 +169,8 @@ StateReader::str(const std::string &name, std::string &out)
 {
     if (!readHeader(name, kTagStr))
         return false;
-    out = reader_.str();
-    if (reader_.failed()) {
+    out = in_->str();
+    if (in_->failed()) {
         fail(IoError::BadFormat, "truncated str field '" + name + "'");
         return false;
     }
@@ -178,20 +182,19 @@ StateReader::tensor(const std::string &name, Tensor &out)
 {
     if (!readHeader(name, kTagTensor))
         return false;
-    const std::uint32_t rank = reader_.u32();
-    std::vector<std::int64_t> dims(rank);
-    for (std::uint32_t d = 0; d < rank; ++d)
-        dims[d] = reader_.i64();
-    const std::uint8_t half = reader_.u8();
-    if (reader_.failed()) {
+    // The rank is compared before any dim is read, so a corrupt rank
+    // sizes nothing.
+    const Shape &expect = out.shape();
+    const std::uint32_t rank = in_->u32();
+    bool same = rank == static_cast<std::uint32_t>(expect.rank());
+    for (int d = 0; same && d < expect.rank(); ++d)
+        same = in_->i64() == expect.dim(d);
+    const std::uint8_t half = same ? in_->u8() : 0;
+    if (in_->failed()) {
         fail(IoError::BadFormat,
              "truncated tensor header for field '" + name + "'");
         return false;
     }
-    const Shape &expect = out.shape();
-    bool same = static_cast<int>(rank) == expect.rank();
-    for (int d = 0; same && d < expect.rank(); ++d)
-        same = dims[static_cast<std::size_t>(d)] == expect.dim(d);
     if (!same) {
         fail(IoError::BadFormat,
              "tensor field '" + name +
@@ -199,9 +202,9 @@ StateReader::tensor(const std::string &name, Tensor &out)
                  out.toString());
         return false;
     }
-    reader_.bytes(out.data(),
-                  static_cast<std::size_t>(out.numel()) * sizeof(float));
-    if (reader_.failed()) {
+    in_->bytes(out.data(),
+               static_cast<std::size_t>(out.numel()) * sizeof(float));
+    if (in_->failed()) {
         fail(IoError::BadFormat,
              "truncated tensor data for field '" + name + "'");
         return false;
@@ -261,12 +264,12 @@ CheckpointManagerOptions::retryPolicy() const
 }
 
 IoStatus
-CheckpointManager::save(std::int64_t step, const std::string &payload)
+CheckpointManager::save(std::int64_t step, const PayloadEmitter &emit)
 {
     const std::string path = pathForStep(step);
     const IoStatus status =
         withRetries(options_.retryPolicy(),
-                    [&] { return writeFileAtomic(path, payload); });
+                    [&] { return writeFileAtomic(path, emit); });
     if (!status.ok())
         return status;
 
@@ -284,7 +287,15 @@ CheckpointManager::save(std::int64_t step, const std::string &payload)
 }
 
 IoStatus
-CheckpointManager::loadLatest(std::string &payloadOut,
+CheckpointManager::save(std::int64_t step, const std::string &payload)
+{
+    return save(step, [&](BinaryWriter &out) {
+        out.bytes(payload.data(), payload.size());
+    });
+}
+
+IoStatus
+CheckpointManager::loadLatest(const StepDecoder &decode,
                               std::int64_t &stepOut)
 {
     const std::vector<std::int64_t> steps = listSteps();
@@ -292,11 +303,15 @@ CheckpointManager::loadLatest(std::string &payloadOut,
         IoError::NotFound, "no checkpoint found in " + options_.dir);
     for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
         const std::string path = pathForStep(*it);
+        bool decoded = false;
         const IoStatus status =
             withRetries(options_.retryPolicy(), [&] {
-                return readFileValidated(path, payloadOut);
+                return readFileValidated(path, [&](BinaryReader &in) {
+                    decoded = true;
+                    return decode(in, *it);
+                });
             });
-        if (status.ok()) {
+        if (status.ok() || decoded) {
             stepOut = *it;
             return status;
         }
@@ -305,8 +320,22 @@ CheckpointManager::loadLatest(std::string &payloadOut,
                      << status.toString() << ")";
         last = status;
     }
-    payloadOut.clear();
     return last;
+}
+
+IoStatus
+CheckpointManager::loadLatest(std::string &payloadOut,
+                              std::int64_t &stepOut)
+{
+    payloadOut.clear();
+    return loadLatest(
+        [&](BinaryReader &in, std::int64_t) {
+            return in.rest(payloadOut)
+                       ? IoStatus::success()
+                       : IoStatus::failure(IoError::Truncated,
+                                           "checkpoint payload truncated");
+        },
+        stepOut);
 }
 
 } // namespace bertprof

@@ -12,7 +12,7 @@
  * uninterrupted ones.
  *
  * CheckpointManager owns a directory of `ckpt-<step>.bpck` files:
- * cadenced saves go through the crash-safe writer (with bounded
+ * cadenced saves stream through the crash-safe writer (with bounded
  * retry-with-backoff on transient failures), old checkpoints are
  * pruned to `keepLast`, and loadLatest() walks newest -> oldest until
  * a file validates — the last-good fallback that makes a torn or
@@ -23,6 +23,7 @@
 #define BERTPROF_IO_CHECKPOINT_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,10 +33,21 @@
 
 namespace bertprof {
 
-/** Builds a checkpoint payload of named, typed fields. */
+/**
+ * Encodes a checkpoint payload of named, typed fields. It writes
+ * through a BinaryWriter: its own in-memory one by default, or the
+ * streaming one a save hands out, so tensor bytes go from the tensor
+ * to the file with no payload-sized copy.
+ */
 class StateWriter
 {
   public:
+    StateWriter() : out_(&own_) {}
+    /** Encode through `out`, which must outlive this writer. */
+    explicit StateWriter(BinaryWriter &out) : out_(&out) {}
+    StateWriter(const StateWriter &) = delete;
+    StateWriter &operator=(const StateWriter &) = delete;
+
     void i64(const std::string &name, std::int64_t v);
     void f32(const std::string &name, float v);
     void f64(const std::string &name, double v);
@@ -43,23 +55,30 @@ class StateWriter
     /** Shape + dtype + raw FP32 bit patterns (bitwise round-trip). */
     void tensor(const std::string &name, const Tensor &t);
 
-    /** The serialized payload (feed to writeFileAtomic / manager). */
-    const std::string &payload() const { return writer_.buffer(); }
+    /** The in-memory payload (empty when bound to another writer). */
+    const std::string &payload() const { return own_.buffer(); }
 
   private:
-    BinaryWriter writer_;
+    BinaryWriter own_;
+    BinaryWriter *out_;
 };
 
 /**
- * Decodes a payload written by StateWriter. Fields must be read in
- * the order they were written; the first name/type/shape mismatch or
- * underrun latches a typed error and every later read returns false,
- * so call sites may decode a whole section and check status() once.
+ * Decodes a payload written by StateWriter, from memory or from a
+ * validated checkpoint file. Fields must be read in the order they
+ * were written; the first name/type/shape mismatch or underrun
+ * latches a typed error and every later read returns false, so call
+ * sites may decode a whole section and check status() once. Every
+ * length and rank is checked before it sizes anything.
  */
 class StateReader
 {
   public:
     explicit StateReader(std::string payload);
+    /** Decode from `in`, which must outlive this reader. */
+    explicit StateReader(BinaryReader &in);
+    StateReader(const StateReader &) = delete;
+    StateReader &operator=(const StateReader &) = delete;
 
     bool i64(const std::string &name, std::int64_t &out);
     bool f32(const std::string &name, float &out);
@@ -75,7 +94,8 @@ class StateReader
     bool readHeader(const std::string &name, std::uint8_t tag);
     void fail(IoError error, const std::string &message);
 
-    BinaryReader reader_;
+    BinaryReader own_;
+    BinaryReader *in_;
     IoStatus status_;
 };
 
@@ -106,17 +126,31 @@ class CheckpointManager
     explicit CheckpointManager(CheckpointManagerOptions options);
 
     /**
-     * Persist `payload` as the checkpoint for `step` (crash-safe,
-     * retried on transient failure) and prune old checkpoints. On
-     * failure the store is unchanged and training can continue.
+     * Persist the payload `emit` writes as the checkpoint for `step`
+     * (crash-safe, streamed, re-run on transient failure) and prune
+     * old checkpoints. On failure the store is unchanged and training
+     * can continue.
      */
+    IoStatus save(std::int64_t step, const PayloadEmitter &emit);
+
+    /** save() of an in-memory payload. */
     IoStatus save(std::int64_t step, const std::string &payload);
 
+    /** Decodes the payload of the checkpoint for `step`. */
+    using StepDecoder =
+        std::function<IoStatus(BinaryReader &in, std::int64_t step)>;
+
     /**
-     * Load the newest checkpoint that validates, falling back to
-     * older ones past corrupt/truncated files (each skip logged).
-     * NotFound when the directory holds no loadable checkpoint.
+     * Find the newest checkpoint that validates, falling back to
+     * older ones past corrupt/truncated files (each skip logged),
+     * and stream its payload to `decode`; `decode`'s status is
+     * returned as is, with no fallback, since a valid file that does
+     * not decode means an incompatible run. NotFound when the
+     * directory holds no loadable checkpoint.
      */
+    IoStatus loadLatest(const StepDecoder &decode, std::int64_t &stepOut);
+
+    /** loadLatest() into an in-memory payload. */
     IoStatus loadLatest(std::string &payloadOut, std::int64_t &stepOut);
 
     /** Steps with a checkpoint file present, ascending. */

@@ -4,6 +4,12 @@
 
 namespace bertprof {
 
+#if defined(BP_X86_CRC_FOLD)
+// crc32_pclmul.cc, built with -mpclmul.
+std::uint32_t crc32FoldPclmul(std::uint32_t state, const unsigned char *p,
+                              std::size_t size);
+#endif
+
 namespace {
 
 using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
@@ -39,14 +45,11 @@ load32(const unsigned char *p)
            static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-} // namespace
-
+/** Advance the (inverted) CRC register `c` over `size` bytes. */
 std::uint32_t
-crc32(const void *data, std::size_t size, std::uint32_t seed)
+sliceBy8(std::uint32_t c, const unsigned char *p, std::size_t size)
 {
     static const Tables t = makeTables();
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t c = seed ^ 0xFFFFFFFFu;
     for (; size >= 8; size -= 8, p += 8) {
         const std::uint32_t lo = load32(p) ^ c;
         const std::uint32_t hi = load32(p + 4);
@@ -57,7 +60,42 @@ crc32(const void *data, std::size_t size, std::uint32_t seed)
     }
     for (; size > 0; --size, ++p)
         c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
+    return c;
+}
+
+#if defined(BP_X86_CRC_FOLD)
+bool
+useFold()
+{
+    static const bool fold = __builtin_cpu_supports("pclmul");
+    return fold;
+}
+#endif
+
+} // namespace
+
+std::uint32_t
+crc32(const void *data, std::size_t size, std::uint32_t seed)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+#if defined(BP_X86_CRC_FOLD)
+    if (size >= 64 && useFold()) {
+        const std::size_t folded = size & ~std::size_t{15};
+        c = crc32FoldPclmul(c, p, folded);
+        p += folded;
+        size -= folded;
+    }
+#endif
+    return sliceBy8(c, p, size) ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t
+crc32SliceBy8(const void *data, std::size_t size, std::uint32_t seed)
+{
+    return sliceBy8(seed ^ 0xFFFFFFFFu,
+                    static_cast<const unsigned char *>(data), size) ^
+           0xFFFFFFFFu;
 }
 
 } // namespace bertprof

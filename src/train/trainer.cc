@@ -3,6 +3,10 @@
 #include <chrono>
 #include <limits>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "runtime/fault_injection.h"
 #include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
@@ -38,6 +42,28 @@ fingerprint(const BertConfig &config)
     };
 }
 
+/**
+ * glibc serves a block above M_MMAP_THRESHOLD with a fresh mmap(2)
+ * and hands a heap top above M_TRIM_THRESHOLD back to the kernel, so
+ * a step whose MiB-sized tensors land there page-faults and
+ * zero-fills them again every time. glibc raises both itself only
+ * once it frees a mapped block larger than the current threshold, up
+ * to 32 MiB and 64 MiB. Fixing them at those ceilings from the start
+ * lets each step reuse the last step's pages. Once per process.
+ */
+void
+reuseStepAllocations()
+{
+#if defined(__GLIBC__)
+    static const bool once = [] {
+        mallopt(M_MMAP_THRESHOLD, 32 << 20);
+        mallopt(M_TRIM_THRESHOLD, 64 << 20);
+        return true;
+    }();
+    (void)once;
+#endif
+}
+
 } // namespace
 
 const char *
@@ -62,6 +88,7 @@ Trainer::Trainer(BertPretrainer &model, Optimizer &optimizer,
       schedule_(schedule), dataset_(dataset), rt_(rt),
       options_(std::move(options)), params_(model.parameters())
 {
+    reuseStepAllocations();
     if (options_.checkpointEvery > 0) {
         BP_REQUIRE(!options_.checkpointDir.empty());
         CheckpointManagerOptions mgr;
@@ -170,10 +197,9 @@ Trainer::trainStep()
     return result;
 }
 
-std::string
-Trainer::buildPayload()
+void
+Trainer::writeState(StateWriter &writer)
 {
-    StateWriter writer;
     writer.i64("trainer.iteration", iteration_);
     for (const ConfigField &field : fingerprint(model_.config()))
         writer.i64(field.name, field.value);
@@ -182,13 +208,11 @@ Trainer::buildPayload()
     scaler_.saveState(writer);
     writer.str("trainer.rng.dropout", rt_.rng.serialize());
     writer.str("trainer.rng.data", dataset_.rngState());
-    return writer.payload();
 }
 
 IoStatus
-Trainer::restorePayload(const std::string &payload, std::int64_t step)
+Trainer::readState(StateReader &reader, std::int64_t step)
 {
-    StateReader reader(payload);
     std::int64_t iteration = 0;
     if (!reader.i64("trainer.iteration", iteration))
         return reader.status();
@@ -241,19 +265,23 @@ IoStatus
 Trainer::saveCheckpoint()
 {
     BP_REQUIRE(checkpointingEnabled());
-    return manager_->save(iteration_, buildPayload());
+    return manager_->save(iteration_, [this](BinaryWriter &out) {
+        StateWriter writer(out);
+        writeState(writer);
+    });
 }
 
 IoStatus
 Trainer::resumeLatest()
 {
     BP_REQUIRE(checkpointingEnabled());
-    std::string payload;
     std::int64_t step = 0;
-    IoStatus status = manager_->loadLatest(payload, step);
-    if (!status.ok())
-        return status;
-    status = restorePayload(payload, step);
+    const IoStatus status = manager_->loadLatest(
+        [this](BinaryReader &in, std::int64_t fileStep) {
+            StateReader reader(in);
+            return readState(reader, fileStep);
+        },
+        step);
     if (status.ok()) {
         BP_LOG(Info) << "resumed from checkpoint at iteration "
                      << step;

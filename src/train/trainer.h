@@ -117,11 +117,10 @@ class Trainer
     const TrainerOptions &options() const { return options_; }
 
   private:
-    /** Serialize iteration + config + model + optim + scaler + RNGs. */
-    std::string buildPayload();
-    /** Decode a payload produced by buildPayload(). */
-    IoStatus restorePayload(const std::string &payload,
-                            std::int64_t step);
+    /** Emit iteration + config + model + optim + scaler + RNGs. */
+    void writeState(StateWriter &writer);
+    /** Decode the fields writeState() emitted for `step`. */
+    IoStatus readState(StateReader &reader, std::int64_t step);
 
     BertPretrainer &model_;
     Optimizer &optimizer_;
